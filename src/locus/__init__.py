@@ -8,7 +8,6 @@ from .environment import (
     jittered_grid,
     load_environment,
     make_environment,
-    save_environment,
     standard_environment,
     standard_environments,
     true_aoa,
@@ -20,7 +19,6 @@ from .channel import (
     PathLossParams,
     SnapshotMatrix,
     SourceSpec,
-    apply_nlos,
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,

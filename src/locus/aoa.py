@@ -3,14 +3,12 @@
 Chain: sample correlation matrix -> Hermitian eigendecomposition -> noise
 subspace -> pseudo-spectrum scan -> peak picking with quadratic refinement.
 
-The eigendecomposition is a cyclic complex Jacobi iteration written here so
-the whole chain is self-contained and bitwise deterministic; at the array
-sizes in play (m <= 16) it converges in a handful of sweeps.
+The eigendecomposition is LAPACK's Hermitian solver through numpy.linalg.eigh.
+The noise-subspace projector does not depend on the phase of its eigenvectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +18,6 @@ from .channel import ArraySpec, SnapshotMatrix, steering_matrix
 # Floor for the pseudo-spectrum denominator: a steering vector exactly inside
 # the signal subspace would otherwise divide by zero.
 SPECTRUM_FLOOR = 1e-15
-
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def correlation_matrix(x: SnapshotMatrix) -> CorrelationMatrix:
 
 
 def eigendecompose(corr: CorrelationMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a Hermitian matrix by numpy.linalg.eigh.
 
     Returns eigenvalues sorted descending with matching orthonormal columns.
     """
@@ -71,54 +67,8 @@ def eigendecompose(corr: CorrelationMatrix) -> EigenDecomposition:
     scale = float(np.linalg.norm(r))
     if not np.allclose(r, r.conj().T, atol=max(scale, 1.0) * 1e-10):
         raise ValueError("matrix is not Hermitian")
-    a = r.astype(complex).copy()
-    m = a.shape[0]
-    v = np.eye(m, dtype=complex)
-    tol = max(scale, 1e-300) * 1e-14
-    off_mask = ~np.eye(m, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Norm of the off-diagonal entries alone; subtracting the diagonal
-        # from the full Frobenius norm would cancel away small residuals.
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                r_abs = abs(apq)
-                if r_abs <= tol / (m * m):
-                    continue
-                phase = apq / r_abs
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r_abs)
-                if tau >= 0:
-                    t_ = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t_ = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t_ * t_)
-                s = t_ * c
-                # Unitary plane rotation G: G[p,p]=c, G[p,q]=s*phase,
-                # G[q,p]=-s*conj(phase), G[q,q]=c; apply A <- G^H A G, V <- V G.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vol_p = v[:, p].copy()
-                vol_q = v[:, q].copy()
-                v[:, p] = c * vol_p - s * np.conj(phase) * vol_q
-                v[:, q] = s * phase * vol_p + c * vol_q
-    values = np.diag(a).real.copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh(r)
+    return EigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def noise_subspace(eig: EigenDecomposition, k: int) -> np.ndarray:
@@ -159,14 +109,8 @@ def _local_maxima(power: np.ndarray) -> list[int]:
     """Indices of local maxima: strictly above the left neighbor (so flat
     plateaus contribute their leading point only), at least as high as the
     right one. Endpoints count when they dominate their single neighbor."""
-    g = power.size
-    idx = []
-    for i in range(g):
-        left = power[i - 1] if i > 0 else -math.inf
-        right = power[i + 1] if i < g - 1 else -math.inf
-        if power[i] > left and power[i] >= right:
-            idx.append(i)
-    return idx
+    padded = np.concatenate(([-np.inf], power, [-np.inf]))
+    return np.flatnonzero((power > padded[:-2]) & (power >= padded[2:])).tolist()
 
 
 def _refine_peak(grid: np.ndarray, power: np.ndarray, i: int) -> float:
@@ -196,7 +140,7 @@ def estimate_aoa(x: SnapshotMatrix, k: int, grid_step_deg: float = 0.1) -> list[
     maxima = _local_maxima(spec.power)
     if len(maxima) < k:
         raise ValueError(f"found {len(maxima)} spectrum peaks, need {k}")
-    ranked = sorted(maxima, key=lambda i: (-spec.power[i], spec.grid_deg[i]))
-    chosen = ranked[:k]
+    # The grid ascends, so a stable sort on power breaks ties toward the lower angle.
+    chosen = np.asarray(maxima)[np.argsort(-spec.power[maxima], kind="stable")[:k]]
     angles = [_refine_peak(spec.grid_deg, spec.power, i) for i in chosen]
     return sorted(angles)

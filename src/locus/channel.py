@@ -104,6 +104,16 @@ class NlosModel:
             raise ValueError("NLoS parameters must be nonnegative")
 
 
+def per_anchor_params(params) -> list[PathLossParams]:
+    """One PathLossParams per anchor (ids 1, 2, 3) from a shared set or a list of three."""
+    if isinstance(params, PathLossParams):
+        return [params] * 3
+    params = list(params)
+    if len(params) != 3:
+        raise ValueError("need one path loss parameter set per anchor")
+    return params
+
+
 def db_to_power(db: float) -> float:
     # -inf dB maps to exactly zero power (noiseless flag).
     return 10.0 ** (db / 10.0)
@@ -161,13 +171,6 @@ def simulate_snapshots(
         noise = rng.standard_normal((array.m, t)) + 1j * rng.standard_normal((array.m, t))
         x = x + math.sqrt(npow / 2.0) * noise
     return SnapshotMatrix(x, array)
-
-
-def apply_nlos(
-    rssi: float, aoa_deg: float, model: NlosModel, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Degrade one (rssi, aoa) pair: fixed extra loss, Gaussian angle error."""
-    return rssi - model.excess_loss_db, aoa_deg + rng.normal(0.0, model.aoa_bias_deg_sigma)
 
 
 def snapshots_to_csv(snap: SnapshotMatrix) -> str:

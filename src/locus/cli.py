@@ -165,6 +165,7 @@ def _cmd_simulate_dataset(args):
         spec.nlos,
         args.n_per_point or config.n_per_point,
         layout=args.layout,
+        outlier=config.outlier_policy(spec),
         seed=args.seed,
         aoa=config.aoa,
     )

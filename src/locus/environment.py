@@ -53,9 +53,6 @@ class Point2D:
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Anchor:
@@ -216,9 +213,3 @@ def environment_from_dict(d: dict) -> Environment:
 def load_environment(path) -> Environment:
     with open(path) as f:
         return environment_from_dict(json.load(f))
-
-
-def save_environment(env: Environment, path) -> None:
-    with open(path, "w") as f:
-        json.dump(environment_to_dict(env), f, indent=2, sort_keys=True)
-        f.write("\n")

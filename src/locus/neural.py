@@ -374,14 +374,6 @@ def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, s
     return CnnModel(cw0, np.zeros(f0), cw1, np.zeros(f1), w0, np.zeros(dense_width), w1, np.zeros(2), input_dim)
 
 
-def forward(model: Regressor, x) -> np.ndarray:
-    """Single feature vector -> (2,) prediction."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("forward takes a single 1-d feature vector")
-    return model.forward_batch(x[None, :])[0]
-
-
 def loss_and_gradients(model: Regressor, x, y):
     return model.loss_and_gradients(x, y)
 

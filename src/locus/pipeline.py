@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, expected_rssi, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, expected_rssi, per_anchor_params, simulate_snapshots
 from .environment import Environment, Point2D, environment_from_dict, environment_to_dict, jittered_grid, make_environment, true_aoa, true_distance
 from .aoa import estimate_aoa
 from .hybrid import hybrid_position
@@ -40,13 +40,6 @@ REDRAW_CAP = 100
 
 # Keep loss_history.csv bounded: at most about this many rows per run.
 _HISTORY_ROWS = 400
-
-
-@dataclass(frozen=True)
-class MeasurementSample:
-    features: tuple[float, ...]
-    target: Point2D
-    point_id: int
 
 
 @dataclass(frozen=True)
@@ -76,22 +69,22 @@ def default_outlier_policy(params3, sigma_multiple=3.0, aoa_threshold_deg=10.0) 
     )
 
 
-def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> bool:
-    """True when the measured feature vector is accepted.
+def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> np.ndarray:
+    """Accepted mask of measured feature rows.
 
-    Both vectors are layout-ordered: 3 RSSI values, optionally followed by
-    3 AoA values. Angle differences are compared raw (no wrapping).
+    theoretical is one layout-ordered vector: 3 RSSI values, optionally
+    followed by 3 AoA values. measured holds (n, 3|6) rows in the same layout
+    and gives an (n,) mask; a single row gives a scalar. Angle differences are
+    compared raw (no wrapping).
     """
     theoretical = np.asarray(theoretical, dtype=float)
     measured = np.asarray(measured, dtype=float)
-    if theoretical.shape != measured.shape or theoretical.shape[0] not in (3, 6):
+    width = theoretical.shape[-1]
+    if theoretical.ndim != 1 or width not in (3, 6) or measured.shape[-1] != width:
         raise ValueError("feature vectors must both have 3 or 6 entries")
     dev = np.abs(measured - theoretical)
-    if np.any(dev[:3] > np.asarray(policy.rssi_threshold_db)):
-        return False
-    if theoretical.shape[0] == 6 and np.any(dev[3:] > policy.aoa_threshold_deg):
-        return False
-    return True
+    bad = np.any(dev[..., :3] > np.asarray(policy.rssi_threshold_db), axis=-1)
+    return ~(bad | np.any(dev[..., 3:] > policy.aoa_threshold_deg, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -148,16 +141,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def samples(self) -> list[MeasurementSample]:
-        return [
-            MeasurementSample(
-                features=tuple(float(v) for v in self.features[i]),
-                target=Point2D(float(self.targets[i, 0]), float(self.targets[i, 1])),
-                point_id=int(self.point_ids[i]),
-            )
-            for i in range(self.n)
-        ]
 
     def project_rssi(self) -> "Dataset":
         """Drop the AoA columns, keeping the exact same accepted draws."""
@@ -219,19 +202,6 @@ def dataset_from_dict(d: dict) -> Dataset:
     )
 
 
-def _per_anchor_params(params) -> list[PathLossParams]:
-    if isinstance(params, PathLossParams):
-        return [params] * 3
-    params = list(params)
-    if len(params) != 3:
-        raise ValueError("need one path loss parameter set per anchor")
-    return params
-
-
-def _wrap180(a: float) -> float:
-    return (a + 180.0) % 360.0 - 180.0
-
-
 def generate_dataset(
     env: Environment,
     params,
@@ -244,9 +214,9 @@ def generate_dataset(
 ) -> Dataset:
     """Draw n_per_point accepted samples at every test point.
 
-    Rejected draws are redrawn (cap 100 rounds per sample); the total count
-    of rejected draws is reported on the dataset. Bit-identical output for a
-    fixed seed.
+    Rejected draws are redrawn (at most REDRAW_CAP rounds per point); the
+    total count of rejected draws is reported on the dataset. Bit-identical
+    output for a fixed seed.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
@@ -254,30 +224,22 @@ def generate_dataset(
         raise ValueError("n_per_point must be positive")
     if not env.test_points:
         raise ValueError("environment has no test points")
-    params3 = _per_anchor_params(params)
+    params3 = per_anchor_params(params)
     aoa = aoa if aoa is not None else AoaSim()
     policy = outlier if outlier is not None else default_outlier_policy(params3)
     rng = np.random.default_rng(seed)
     sigmas = np.array([p.sigma for p in params3])
-    thr_rssi = np.asarray(policy.rssi_threshold_db)
+    measure = _aoa_measurer(rng, env, aoa)
 
     feats_all = []
     targets_all = []
     pids_all = []
     rejects = 0
     for pid, p in enumerate(env.test_points):
-        dists = [true_distance(env, i, p) for i in (1, 2, 3)]
-        theo_rssi = np.array([expected_rssi(params3[i], dists[i]) for i in range(3)])
-        theo_aoa = np.array([true_aoa(env, i, p) for i in (1, 2, 3)])
-        if layout == "hybrid" and aoa.mode == "music":
-            feats, rej = _draw_point_music(
-                rng, env, n_per_point, theo_rssi, theo_aoa, sigmas, nlos, policy, aoa
-            )
-        else:
-            feats, rej = _draw_point_fast(
-                rng, n_per_point, theo_rssi, theo_aoa, sigmas, nlos, policy, aoa,
-                hybrid=(layout == "hybrid"), thr_rssi=thr_rssi,
-            )
+        theo = [expected_rssi(params3[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
+        if layout == "hybrid":
+            theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
+        feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, policy)
         rejects += rej
         feats_all.append(feats)
         targets_all.append(np.tile([p.x, p.y], (n_per_point, 1)))
@@ -293,77 +255,56 @@ def generate_dataset(
     )
 
 
-def _draw_point_fast(rng, n, theo_rssi, theo_aoa, sigmas, nlos, policy, aoa, hybrid, thr_rssi):
-    def draw(count):
-        rssi = theo_rssi - nlos.excess_loss_db - rng.standard_normal((count, 3)) * sigmas
-        if not hybrid:
-            return rssi
-        ang = (
-            theo_aoa
-            + rng.standard_normal((count, 3)) * nlos.aoa_bias_deg_sigma
-            + rng.standard_normal((count, 3)) * aoa.noise_deg
-        )
-        return np.column_stack([rssi, ang])
+def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
+    """The mode's map from NLoS-perturbed bearings, shape (count, 3), to measured angles."""
+    if aoa.mode == "fast":
+        return lambda biased: biased + rng.standard_normal(biased.shape) * aoa.noise_deg
+    center = Point2D(env.length / 2.0, env.width / 2.0)
+    refs = np.array([true_aoa(env, i, center) for i in (1, 2, 3)])
 
-    def rejected(feats):
-        bad = np.any(np.abs(feats[:, :3] - theo_rssi) > thr_rssi, axis=1)
-        if hybrid:
-            bad |= np.any(np.abs(feats[:, 3:] - theo_aoa) > policy.aoa_threshold_deg, axis=1)
-        return bad
+    def music(biased):
+        # Bearing relative to the room-center direction, wrapped to [-180, 180).
+        phis = np.clip((biased - refs + 180.0) % 360.0 - 180.0, -89.9, 89.9)
+        est = np.empty_like(phis)
+        for s, i in np.ndindex(phis.shape):
+            snap = simulate_snapshots(
+                aoa.array, [SourceSpec(float(phis[s, i]), 0.0)], noise_power_db=-aoa.snr_db, rng=rng
+            )
+            est[s, i] = estimate_aoa(snap, 1, grid_step_deg=aoa.grid_step_deg)[0]
+        return est + refs
+
+    return music
+
+
+def _draw_point(rng, n, theo, sigmas, nlos, measure, policy):
+    """n screened feature rows at one point and the count of rejected draws.
+
+    theo is the point's noise-free feature vector in layout order. Rows are
+    drawn as a block and screened; the rejected rows are redrawn, for at most
+    REDRAW_CAP rounds.
+    """
+
+    def draw(count):
+        rssi = theo[:3] - nlos.excess_loss_db - rng.standard_normal((count, 3)) * sigmas
+        if theo.size == 3:
+            return rssi
+        biased = theo[3:] + rng.standard_normal((count, 3)) * nlos.aoa_bias_deg_sigma
+        return np.column_stack([rssi, measure(biased)])
 
     feats = draw(n)
-    bad = rejected(feats)
+    bad = ~screen_outlier(theo, feats, policy)
     rejects = int(bad.sum())
     rounds = 0
     while bad.any():
-        rounds += 1
-        if rounds > REDRAW_CAP:
+        if rounds == REDRAW_CAP:
             raise RuntimeError(
                 f"outlier redraw cap exceeded ({REDRAW_CAP} rounds); policy too strict for the noise level"
             )
-        fresh = draw(int(bad.sum()))
-        feats[bad] = fresh
-        still = rejected(fresh)
-        rejects += int(still.sum())
-        bad_idx = np.where(bad)[0]
-        bad = np.zeros_like(bad)
-        bad[bad_idx[still]] = True
-    return feats, rejects
-
-
-def _draw_point_music(rng, env, n, theo_rssi, theo_aoa, sigmas, nlos, policy, aoa):
-    center = Point2D(env.length / 2.0, env.width / 2.0)
-    refs = [true_aoa(env, i, center) for i in (1, 2, 3)]
-    thr_rssi = np.asarray(policy.rssi_threshold_db)
-    feats = np.empty((n, 6))
-    rejects = 0
-    for s in range(n):
-        attempts = 0
-        while True:
-            rssi = theo_rssi - nlos.excess_loss_db - rng.standard_normal(3) * sigmas
-            ang = np.empty(3)
-            for i in range(3):
-                biased = theo_aoa[i] + rng.normal(0.0, nlos.aoa_bias_deg_sigma)
-                phi = _wrap180(biased - refs[i])
-                phi = float(np.clip(phi, -89.9, 89.9))
-                snap = simulate_snapshots(
-                    aoa.array, [SourceSpec(phi, 0.0)], noise_power_db=-aoa.snr_db, rng=rng
-                )
-                est = estimate_aoa(snap, 1, grid_step_deg=aoa.grid_step_deg)[0]
-                ang[i] = est + refs[i]
-            ok = not (
-                np.any(np.abs(rssi - theo_rssi) > thr_rssi)
-                or np.any(np.abs(ang - theo_aoa) > policy.aoa_threshold_deg)
-            )
-            if ok:
-                feats[s] = np.concatenate([rssi, ang])
-                break
-            rejects += 1
-            attempts += 1
-            if attempts >= REDRAW_CAP:
-                raise RuntimeError(
-                    f"outlier redraw cap exceeded ({REDRAW_CAP}) at sample {s}; policy too strict"
-                )
+        rounds += 1
+        idx = np.flatnonzero(bad)
+        feats[idx] = draw(idx.size)
+        bad[idx] = ~screen_outlier(theo, feats[idx], policy)
+        rejects += int(bad.sum())
     return feats, rejects
 
 
@@ -511,7 +452,7 @@ def hybrid_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float
     """Closed-form distance+angle fusion on raw hybrid features."""
     if test_ds.layout != "hybrid":
         raise ValueError("hybrid baseline needs a hybrid-layout dataset")
-    params3 = _per_anchor_params(params3)
+    params3 = per_anchor_params(params3)
     errs = []
     for i in range(test_ds.n):
         d = DistanceVector(
@@ -562,6 +503,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown layout {l!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
+
+    def outlier_policy(self, spec: EnvSpec) -> OutlierPolicy:
+        """The screen of one room: the configured sigma multiple per anchor."""
+        return default_outlier_policy(spec.params, self.outlier_sigma_multiple, self.outlier_aoa_deg)
 
 
 def _parse_path_loss(d: dict) -> PathLossParams:
@@ -660,6 +605,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "layouts": list(config.layouts),
         "aoa_mode": config.aoa.mode,
         "aoa_noise_deg": config.aoa.noise_deg,
+        "music": {
+            "m": config.aoa.array.m,
+            "spacing_wavelengths": config.aoa.array.spacing_wavelengths,
+            "snapshots": config.aoa.array.snapshots,
+            "snr_db": config.aoa.snr_db,
+            "grid_step_deg": config.aoa.grid_step_deg,
+        },
         "train": {
             "learning_rate": config.learning_rate,
             "batch_size": config.batch_size,
@@ -686,23 +638,26 @@ def _build_model(family: str, input_dim: int, seed: int, train_features=None, rb
     raise ValueError(f"unknown model family {family!r}")
 
 
+def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Seeds of one (environment, seed) cell: dataset, split, and (init, train)
+    per model family, all drawn from SeedSequence([seed, env_idx]). A cell's
+    data thus depends on its room's position in the config."""
+    ss = np.random.SeedSequence([int(seed), int(env_idx)])
+    state = [int(v) for v in ss.generate_state(2 + 2 * n_models, dtype=np.uint64)]
+    return state[0], state[1], list(zip(state[2::2], state[3::2]))
+
+
 def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
     """One (environment, seed) cell: shared dataset, all layouts and models."""
     spec = config.envs[env_idx]
-    ss = np.random.SeedSequence([int(seed), int(env_idx)])
-    state = ss.generate_state(2 + 2 * len(config.models), dtype=np.uint64)
-    dataset_seed = int(state[0])
-    split_seed = int(state[1])
-    policy = default_outlier_policy(
-        spec.params, config.outlier_sigma_multiple, config.outlier_aoa_deg
-    )
+    dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
     ds_hybrid = generate_dataset(
         spec.env,
         list(spec.params),
         spec.nlos,
         config.n_per_point,
         layout="hybrid",
-        outlier=policy,
+        outlier=config.outlier_policy(spec),
         seed=dataset_seed,
         aoa=config.aoa,
     )
@@ -721,9 +676,7 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
         xn = stats.normalize_features(tr.features)
         yn = stats.normalize_targets(tr.targets)
         steps = config.epochs * math.ceil(tr.n / config.batch_size)
-        for fam_idx, family in enumerate(config.models):
-            init_seed = int(state[2 + 2 * fam_idx])
-            train_seed = int(state[3 + 2 * fam_idx])
+        for family, (init_seed, train_seed) in zip(config.models, model_seeds):
             model = _build_model(family, tr.features.shape[1], init_seed, xn, config.rbf_centers)
             untrained = evaluate_mae(model, te, stats)
             if family == "rbf":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathLossParams
+from .channel import PathLossParams, per_anchor_params
 from .environment import Environment, Point2D
 
 # Reject nearly-singular linear systems.
@@ -107,7 +107,7 @@ def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
     The residual is the RMS mismatch between anchor distances implied by the
     estimate and the RSSI-derived distances.
     """
-    params3 = _per_anchor(params)
+    params3 = per_anchor_params(params)
     if len(rssi) != 3:
         raise ValueError("exactly three rssi readings required")
     d = DistanceVector(tuple(rssi_to_distance(params3[i], rssi[i]) for i in range(3)))
@@ -116,12 +116,3 @@ def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
     mism = [est.distance_to(positions[i]) - d.d[i] for i in range(3)]
     residual = math.sqrt(sum(m * m for m in mism) / 3.0)
     return PositionEstimate(p=est, residual=residual)
-
-
-def _per_anchor(params) -> list[PathLossParams]:
-    if isinstance(params, PathLossParams):
-        return [params] * 3
-    params = list(params)
-    if len(params) != 3:
-        raise ValueError("need one path loss parameter set per anchor")
-    return params

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from locus.channel import (
     ArraySpec,
-    NlosModel,
     PathLossParams,
     SourceSpec,
-    apply_nlos,
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,
@@ -149,21 +147,6 @@ def test_snapshots_source_count_validation():
         simulate_snapshots(spec, [], noise_power_db=0.0, rng=rng)
     with pytest.raises(ValueError):
         simulate_snapshots(spec, [SourceSpec(0.0, 0.0)] * 4, noise_power_db=0.0, rng=rng)
-
-
-def test_apply_nlos_identity_and_offset():
-    rng = np.random.default_rng(0)
-    assert apply_nlos(-50.0, 10.0, NlosModel(0.0, 0.0), rng) == (-50.0, 10.0)
-    rssi, aoa = apply_nlos(-50.0, 10.0, NlosModel(6.0, 0.0), rng)
-    assert rssi == -56.0
-    assert aoa == 10.0
-
-
-def test_apply_nlos_angle_spread_monte_carlo():
-    rng = np.random.default_rng(11)
-    model = NlosModel(0.0, 3.0)
-    perturbed = np.array([apply_nlos(-50.0, 0.0, model, rng)[1] for _ in range(10000)])
-    assert abs(perturbed.std(ddof=1) - 3.0) < 0.15
 
 
 def test_snapshot_csv_roundtrip():

@@ -9,6 +9,7 @@ import pytest
 from locus.channel import PathLossParams, expected_rssi
 from locus.cli import main
 from locus.environment import Point2D, make_environment, true_aoa, true_distance
+from locus.pipeline import default_outlier_policy, generate_dataset, load_config
 
 PARAMS = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
 
@@ -19,7 +20,7 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _config_file(tmp_path):
+def _config_file(tmp_path, **overrides):
     doc = {
         "seeds": [0],
         "n_per_point": 30,
@@ -41,6 +42,7 @@ def _config_file(tmp_path):
                 "nlos": {"excess_loss_db": 1.0, "aoa_bias_deg_sigma": 1.0},
             }
         ],
+        **overrides,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -272,6 +274,24 @@ def test_dataset_train_predict_eval_chain(capsys, tmp_path):
     eval_doc = json.loads(out)
     assert eval_doc["overall_mae_mm"] == pytest.approx(train_doc["test_mae_mm"], abs=1e-6)
     assert eval_doc["n_test"] == 18  # 3 points x round(0.2 * 30)
+
+
+def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
+    cfg = _config_file(tmp_path, outlier={"rssi_sigma_multiple": 2.0, "aoa_threshold_deg": 10.0})
+    ds_path = tmp_path / "ds.json"
+    code, out, _ = _run(
+        capsys,
+        ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--seed", "3",
+         "--out", str(ds_path)],
+    )
+    assert code == 0
+    spec = load_config(cfg).envs[0]
+    want = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3,
+                            outlier=default_outlier_policy(spec.params, sigma_multiple=2.0))
+    default = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3)
+    assert want.rejects != default.rejects
+    assert json.loads(ds_path.read_text())["rejects"] == want.rejects
+    assert f"{want.rejects} redraws" in out
 
 
 def test_predict_from_csv_with_header(capsys, tmp_path):

@@ -13,6 +13,7 @@ from locus.pipeline import (
     Dataset,
     NormStats,
     OutlierPolicy,
+    config_to_dict,
     dataset_from_dict,
     dataset_to_dict,
     default_outlier_policy,
@@ -29,6 +30,8 @@ from locus.pipeline import (
 
 PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
 QUIET = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+# Music mode at a scale that keeps a test well under a second.
+TINY_MUSIC = AoaSim(mode="music", array=ArraySpec(8, 0.5, 64), snr_db=20.0, grid_step_deg=0.5)
 
 
 def _tiny_env(n_points=3):
@@ -92,11 +95,15 @@ def test_zero_noise_features_equal_theoretical():
         assert np.allclose(ds.targets[ds.point_ids == pid], [p.x, p.y])
 
 
-def test_generated_features_respect_screen():
+@pytest.mark.parametrize(
+    "aoa, n_per_point, aoa_bias",
+    [(AoaSim("fast", 2.0), 200, 1.0), (TINY_MUSIC, 20, 5.0)],
+    ids=["fast", "music"],
+)
+def test_generated_features_respect_screen(aoa, n_per_point, aoa_bias):
     env = _tiny_env()
-    nlos = NlosModel(1.0, 1.0)
-    ds = generate_dataset(env, PARAMS, nlos, 200, layout="hybrid", seed=3,
-                          aoa=AoaSim("fast", 2.0))
+    nlos = NlosModel(1.0, aoa_bias)
+    ds = generate_dataset(env, PARAMS, nlos, n_per_point, layout="hybrid", seed=3, aoa=aoa)
     policy = default_outlier_policy([PARAMS] * 3)
     for pid, p in enumerate(env.test_points):
         theo = np.array(
@@ -125,12 +132,13 @@ def test_dataset_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.features, c.features)
 
 
-def test_redraw_cap_raises():
+@pytest.mark.parametrize("aoa", [AoaSim("fast"), TINY_MUSIC], ids=["fast", "music"])
+def test_redraw_cap_raises(aoa):
     env = _tiny_env(1)
     strict = OutlierPolicy((0.001, 0.001, 0.001), 10.0)
-    with pytest.raises(RuntimeError):
-        generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="rssi",
-                         outlier=strict, seed=0)
+    with pytest.raises(RuntimeError, match="redraw cap"):
+        generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="hybrid",
+                         outlier=strict, seed=0, aoa=aoa)
 
 
 def test_project_rssi_shares_draws():
@@ -335,7 +343,7 @@ def test_baselines_zero_noise_are_exact():
 # config and experiment driver
 
 
-def _small_config(tmp_path=None):
+def _small_config(**overrides):
     return load_config(
         {
             "seeds": [0, 1],
@@ -365,6 +373,7 @@ def _small_config(tmp_path=None):
                     "nlos": {"excess_loss_db": 3.0, "aoa_bias_deg_sigma": 3.0},
                 },
             ],
+            **overrides,
         }
     )
 
@@ -379,6 +388,12 @@ def test_load_config_defaults_and_validation():
         load_config({"environments": [], "seeds": [0]})
     with pytest.raises((ValueError, KeyError)):
         load_config({"models": ["transformer"], "environments": [{"name": "x", "length_m": 5, "width_m": 5}]})
+
+
+def test_config_dict_roundtrip_keeps_music_settings():
+    cfg = _small_config(aoa_mode="music", music={"snapshots": 64, "snr_db": 10.0})
+    assert (cfg.aoa.array.snapshots, cfg.aoa.snr_db) == (64, 10.0)
+    assert load_config(config_to_dict(cfg)) == cfg
 
 
 def test_run_experiment_structure_and_tables(tmp_path):

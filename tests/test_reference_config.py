@@ -7,11 +7,10 @@ own instead of showing up only as several sweep failures.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from locus.environment import STANDARD_ROOMS, standard_environment
-from locus.pipeline import default_outlier_policy, generate_dataset, load_config
+from locus.pipeline import cell_seeds, generate_dataset, load_config
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_repro.json"
 
@@ -42,21 +41,17 @@ def test_reference_seeds_and_sample_count(config):
 def test_reference_redraws_match_recorded_run(config):
     """Hybrid datasets drawn with the sweep's per-cell seeding give the recorded redraws."""
     for env_idx, spec in enumerate(config.envs):
-        policy = default_outlier_policy(spec.params, config.outlier_sigma_multiple, config.outlier_aoa_deg)
         rejects = 0
         for seed in config.seeds:
-            # same derivation as pipeline._run_cell
-            state = np.random.SeedSequence([seed, env_idx]).generate_state(
-                2 + 2 * len(config.models), dtype=np.uint64
-            )
+            dataset_seed, _, _ = cell_seeds(seed, env_idx, len(config.models))
             ds = generate_dataset(
                 spec.env,
                 list(spec.params),
                 spec.nlos,
                 config.n_per_point,
                 layout="hybrid",
-                outlier=policy,
-                seed=int(state[0]),
+                outlier=config.outlier_policy(spec),
+                seed=dataset_seed,
                 aoa=config.aoa,
             )
             rejects += ds.rejects
