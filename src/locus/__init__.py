@@ -27,7 +27,7 @@ from .channel import (
 from .plfit import FitResult, FitSample, fit_path_loss
 from .trilat import DistanceVector, PositionEstimate, rssi_to_distance, trilaterate
 from .aoa import correlation_matrix, eigendecompose, estimate_aoa, noise_subspace, spatial_spectrum
-from .hybrid import anchor_estimate, hybrid_position
+from .hybrid import hybrid_position
 from .neural import (
     CnnModel,
     MlpModel,

@@ -114,6 +114,20 @@ def per_anchor_params(params) -> list[PathLossParams]:
     return params
 
 
+def path_loss_from_dict(doc) -> tuple[PathLossParams, PathLossParams, PathLossParams]:
+    """Per-anchor parameters from a path-loss document: one object
+    {gamma, sigma, p_r_d0[, d0]} shared by all anchors, or a list of three."""
+
+    def one(d):
+        return PathLossParams(float(d["gamma"]), float(d["sigma"]), float(d["p_r_d0"]), float(d.get("d0", 1.0)))
+
+    if not isinstance(doc, list):
+        return (one(doc),) * 3
+    if len(doc) != 3:
+        raise ValueError(f"a path loss list needs 3 entries, one per anchor, got {len(doc)}")
+    return tuple(one(d) for d in doc)
+
+
 def db_to_power(db: float) -> float:
     # -inf dB maps to exactly zero power (noiseless flag).
     return 10.0 ** (db / 10.0)

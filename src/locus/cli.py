@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from .channel import (
     ArraySpec,
     PathLossParams,
     SourceSpec,
+    path_loss_from_dict,
     simulate_rssi,
     simulate_snapshots,
     snapshots_from_csv,
@@ -30,6 +30,7 @@ from .environment import STANDARD_ROOMS, load_environment, make_environment
 from .hybrid import hybrid_position
 from .pipeline import (
     NormStats,
+    UsageError,
     _round6,
     dataset_from_dict,
     dataset_to_dict,
@@ -40,7 +41,7 @@ from .pipeline import (
     split,
 )
 from .plfit import fit_path_loss, read_fit_samples_csv
-from .trilat import DistanceVector, rssi_to_distance, trilaterate
+from .trilat import rssi_distances, trilaterate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,22 +85,6 @@ def _load_env(args):
         length, width = STANDARD_ROOMS[args.room]
         return make_environment(args.room, length, width)
     raise ValueError("pass --env FILE or --room NAME")
-
-
-def _params_from_args(args) -> list[PathLossParams]:
-    """Single or per-anchor path loss parameters from --params or inline flags."""
-    if getattr(args, "params", None):
-        doc = _read_json(args.params)
-        if isinstance(doc, list):
-            if len(doc) != 3:
-                raise ValueError("per-anchor params file must list 3 entries")
-            return [
-                PathLossParams(p["gamma"], p["sigma"], p["p_r_d0"], p.get("d0", 1.0)) for p in doc
-            ]
-        return [PathLossParams(doc["gamma"], doc["sigma"], doc["p_r_d0"], doc.get("d0", 1.0))] * 3
-    if args.gamma is None or args.p_r_d0 is None:
-        raise ValueError("pass --params FILE or --gamma/--p-r-d0 (and optionally --sigma/--d0)")
-    return [PathLossParams(args.gamma, args.sigma, args.p_r_d0, args.d0)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +161,12 @@ def _cmd_simulate_dataset(args):
 
 def _cmd_locate(args):
     env = _load_env(args)
-    params = _params_from_args(args)
+    if args.params:
+        params = path_loss_from_dict(_read_json(args.params))
+    elif args.gamma is None or args.p_r_d0 is None:
+        raise ValueError("pass --params FILE or --gamma/--p-r-d0 (and optionally --sigma/--d0)")
+    else:
+        params = PathLossParams(args.gamma, args.sigma, args.p_r_d0, args.d0)
     rssi = _parse_floats(args.rssi, 3, "rssi values")
     if args.method == "trilat":
         est = trilaterate(env, params, rssi)
@@ -184,8 +174,7 @@ def _cmd_locate(args):
         if not args.aoa:
             raise ValueError("--method hybrid needs --aoa A1,A2,A3")
         thetas = _parse_floats(args.aoa, 3, "angles")
-        d = DistanceVector(tuple(rssi_to_distance(params[i], rssi[i]) for i in range(3)))
-        est = hybrid_position(env, d, thetas)
+        est = hybrid_position(env, rssi_distances(params, rssi), thetas)
     _print_json({"x": est.p.x, "y": est.p.y, "residual": est.residual})
     return 0
 
@@ -212,29 +201,10 @@ def _cmd_train(args):
     stats = NormStats.fit(train_ds)
     xn = stats.normalize_features(train_ds.features)
     yn = stats.normalize_targets(train_ds.targets)
-    if args.model == "rbf":
-        k = min(args.rbf_centers, xn.shape[0])
-        model = neural.RbfModel.init(xn, k=k, seed=args.seed)
-        final_loss = neural.fit_rbf_output(model, xn, yn, ridge=args.ridge)
-        steps = 1
-    else:
-        if args.model == "mlp":
-            model = neural.make_mlp(xn.shape[1], hidden=(32, 32), seed=args.seed)
-        else:
-            model = neural.make_cnn(xn.shape[1], seed=args.seed)
-        steps = args.epochs * math.ceil(xn.shape[0] / args.batch_size)
-        result = neural.train(
-            model,
-            xn,
-            yn,
-            neural.TrainConfig(
-                learning_rate=args.learning_rate,
-                batch_size=args.batch_size,
-                iterations=steps,
-                seed=args.seed,
-            ),
-        )
-        final_loss = result.final_loss
+    model = neural.build(args.model, xn, args.seed, args.rbf_centers)
+    history = neural.fit(
+        model, xn, yn, args.epochs, args.batch_size, args.learning_rate, args.seed, ridge=args.ridge
+    )
     doc = neural.model_to_dict(model, norm=stats.to_dict())
     doc["split"] = {"train_fraction": args.train_fraction, "seed": args.split_seed}
     _write_json(args.out, doc)
@@ -244,8 +214,8 @@ def _cmd_train(args):
         {
             "model": args.model,
             "out": args.out,
-            "steps": steps,
-            "final_loss": float(final_loss),
+            "steps": int(history.size),
+            "final_loss": float(history[-1]),
             "train_mae_mm": train_mae,
             "test_mae_mm": test_mae,
         }
@@ -428,6 +398,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"locus: error: {e}", file=sys.stderr)
+        return 1
     except Exception as e:  # runtime failure: diagnostics on stderr, exit 2
         print(f"locus: error: {e}", file=sys.stderr)
         return 2

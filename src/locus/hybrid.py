@@ -12,29 +12,9 @@ those fixes (max pairwise distance) is reported as the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .environment import Anchor, Environment, Point2D
+from .environment import Environment, Point2D
 from .trilat import DistanceVector, PositionEstimate
-
-
-@dataclass(frozen=True)
-class AnchorEstimate:
-    anchor_id: int
-    p: Point2D
-
-
-def anchor_estimate(anchor: Anchor, d: float, theta_deg: float) -> AnchorEstimate:
-    """Position implied by one anchor's distance and bearing angle."""
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"distance must be finite and nonnegative, got {d}")
-    if not math.isfinite(theta_deg):
-        raise ValueError("angle must be finite")
-    sx, sy = anchor.frame
-    t = math.radians(theta_deg)
-    x = anchor.position.x + sx * d * math.sin(t)
-    y = anchor.position.y + sy * d * math.cos(t)
-    return AnchorEstimate(anchor_id=anchor.id, p=Point2D(x, y))
 
 
 def hybrid_position(env: Environment, d: DistanceVector, thetas_deg) -> PositionEstimate:
@@ -47,9 +27,16 @@ def hybrid_position(env: Environment, d: DistanceVector, thetas_deg) -> Position
     thetas = list(thetas_deg)
     if len(thetas) != 3:
         raise ValueError("exactly three angles required")
-    fixes = [
-        anchor_estimate(env.anchor(i + 1), d.d[i], thetas[i]).p for i in range(3)
-    ]
+    fixes = []
+    for i in range(3):
+        if not math.isfinite(thetas[i]):
+            raise ValueError("angle must be finite")
+        anchor = env.anchor(i + 1)
+        sx, sy = anchor.frame
+        t = math.radians(thetas[i])
+        fixes.append(
+            Point2D(anchor.position.x + sx * d.d[i] * math.sin(t), anchor.position.y + sy * d.d[i] * math.cos(t))
+        )
     x = sum(f.x for f in fixes) / 3.0
     y = sum(f.y for f in fixes) / 3.0
     residual = max(

@@ -202,12 +202,6 @@ def rbf_widths(centers: np.ndarray, data: np.ndarray | None = None) -> np.ndarra
     return np.maximum(widths, WIDTH_FLOOR)
 
 
-def init_rbf_centers(data: np.ndarray, k: int, seed=0):
-    """K-means centers plus widths for a Gaussian RBF layer."""
-    centers = kmeans(data, k, seed=seed)
-    return centers, rbf_widths(centers, data)
-
-
 class RbfModel(Regressor):
     """Gaussian RBF network; centers/widths frozen, linear output trainable."""
 
@@ -229,7 +223,8 @@ class RbfModel(Regressor):
 
     @classmethod
     def init(cls, data: np.ndarray, k: int = 40, seed=0) -> "RbfModel":
-        centers, widths = init_rbf_centers(data, k, seed=seed)
+        centers = kmeans(data, k, seed=seed)
+        widths = rbf_widths(centers, data)
         rng = np.random.default_rng([seed, 1])
         k_eff = centers.shape[0]
         w_out = _xavier(rng, k_eff, 2, (2, k_eff))
@@ -374,10 +369,6 @@ def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, s
     return CnnModel(cw0, np.zeros(f0), cw1, np.zeros(f1), w0, np.zeros(dense_width), w1, np.zeros(2), input_dim)
 
 
-def loss_and_gradients(model: Regressor, x, y):
-    return model.loss_and_gradients(x, y)
-
-
 def train(model: Regressor, x, y, cfg: TrainConfig) -> TrainResult:
     """Mini-batch SGD for exactly cfg.iterations steps.
 
@@ -406,6 +397,33 @@ def train(model: Regressor, x, y, cfg: TrainConfig) -> TrainResult:
             params[name] -= cfg.learning_rate * g
         history[step] = loss
     return TrainResult(model=model, loss_history=history)
+
+
+def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
+    """A fresh model of one family for the training features x, shape (n, input_dim).
+
+    MLP and CNN take their constructors' default architectures; RBF places
+    min(rbf_centers, n) k-means centers on x.
+    """
+    if family == "mlp":
+        return make_mlp(x.shape[1], seed=seed)
+    if family == "cnn":
+        return make_cnn(x.shape[1], seed=seed)
+    if family == "rbf":
+        return RbfModel.init(x, k=min(rbf_centers, x.shape[0]), seed=seed)
+    raise ValueError(f"unknown model family {family!r}")
+
+
+def fit(model: Regressor, x, y, epochs: int, batch_size: int, learning_rate: float, seed: int,
+        ridge=RIDGE_DEFAULT) -> np.ndarray:
+    """Fit a built model in place; returns the loss history. RBF solves its
+    output layer by ridge least squares (the history is that one MSE); the
+    other families run SGD for epochs * ceil(n / batch_size) steps."""
+    if isinstance(model, RbfModel):
+        return np.array([fit_rbf_output(model, x, y, ridge=ridge)])
+    steps = epochs * math.ceil(len(x) / batch_size)
+    cfg = TrainConfig(learning_rate=learning_rate, batch_size=batch_size, iterations=steps, seed=seed)
+    return train(model, x, y, cfg).loss_history
 
 
 def gradient_check(model: Regressor, x, y, h=1e-5) -> float:

@@ -23,16 +23,16 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, expected_rssi, per_anchor_params, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, expected_rssi, path_loss_from_dict, per_anchor_params, simulate_snapshots
 from .environment import Environment, Point2D, environment_from_dict, environment_to_dict, jittered_grid, make_environment, true_aoa, true_distance
 from .aoa import estimate_aoa
 from .hybrid import hybrid_position
-from .trilat import DistanceVector, rssi_to_distance, trilaterate
+from .trilat import rssi_distances, trilaterate
 
 LAYOUTS = ("rssi", "hybrid")
 MODEL_FAMILIES = ("mlp", "rbf", "cnn")
@@ -146,25 +146,11 @@ class Dataset:
         """Drop the AoA columns, keeping the exact same accepted draws."""
         if self.layout != "hybrid":
             raise ValueError("only a hybrid dataset can be projected to rssi features")
-        return Dataset(
-            env=self.env,
-            layout="rssi",
-            seed=self.seed,
-            features=self.features[:, :3].copy(),
-            targets=self.targets,
-            point_ids=self.point_ids,
-            rejects=self.rejects,
-        )
+        return replace(self, layout="rssi", features=self.features[:, :3].copy())
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            env=self.env,
-            layout=self.layout,
-            seed=self.seed,
-            features=self.features[idx],
-            targets=self.targets[idx],
-            point_ids=self.point_ids[idx],
-            rejects=self.rejects,
+        return replace(
+            self, features=self.features[idx], targets=self.targets[idx], point_ids=self.point_ids[idx]
         )
 
 
@@ -439,28 +425,27 @@ def improvement_percent(rssi_report: EvalReport, hybrid_report: EvalReport) -> f
     return 100.0 * (rssi_report.overall_mae_mm - hybrid_report.overall_mae_mm) / rssi_report.overall_mae_mm
 
 
+def _baseline_mae_mm(test_ds: Dataset, locate) -> float:
+    """Mean error (mm) of locate(feature row) -> PositionEstimate over a test split."""
+    errs = []
+    for row, (tx, ty) in zip(test_ds.features, test_ds.targets):
+        est = locate(row)
+        errs.append(math.hypot(est.p.x - tx, est.p.y - ty))
+    return 1000.0 * float(np.mean(errs))
+
+
 def trilat_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
     """Closed-form trilateration on the raw RSSI features of a test split."""
-    errs = []
-    for i in range(test_ds.n):
-        est = trilaterate(env, params3, test_ds.features[i, :3])
-        errs.append(math.hypot(est.p.x - test_ds.targets[i, 0], est.p.y - test_ds.targets[i, 1]))
-    return 1000.0 * float(np.mean(errs))
+    return _baseline_mae_mm(test_ds, lambda row: trilaterate(env, params3, row[:3]))
 
 
 def hybrid_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
     """Closed-form distance+angle fusion on raw hybrid features."""
     if test_ds.layout != "hybrid":
         raise ValueError("hybrid baseline needs a hybrid-layout dataset")
-    params3 = per_anchor_params(params3)
-    errs = []
-    for i in range(test_ds.n):
-        d = DistanceVector(
-            tuple(rssi_to_distance(params3[j], test_ds.features[i, j]) for j in range(3))
-        )
-        est = hybrid_position(env, d, test_ds.features[i, 3:6])
-        errs.append(math.hypot(est.p.x - test_ds.targets[i, 0], est.p.y - test_ds.targets[i, 1]))
-    return 1000.0 * float(np.mean(errs))
+    return _baseline_mae_mm(
+        test_ds, lambda row: hybrid_position(env, rssi_distances(params3, row[:3]), row[3:6])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +494,6 @@ class ExperimentConfig:
         return default_outlier_policy(spec.params, self.outlier_sigma_multiple, self.outlier_aoa_deg)
 
 
-def _parse_path_loss(d: dict) -> PathLossParams:
-    return PathLossParams(
-        gamma=float(d["gamma"]),
-        sigma=float(d["sigma"]),
-        p_r_d0=float(d["p_r_d0"]),
-        d0=float(d.get("d0", 1.0)),
-    )
-
-
 def load_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or an already-parsed dict."""
     if isinstance(source, (str, os.PathLike)):
@@ -543,14 +519,7 @@ def load_config(source) -> ExperimentConfig:
             excess_loss_db=float(nl.get("excess_loss_db", 0.0)),
             aoa_bias_deg_sigma=float(nl.get("aoa_bias_deg_sigma", 0.0)),
         )
-        pl = e.get("path_loss", shared_pl)
-        if isinstance(pl, list):
-            params = tuple(_parse_path_loss(p) for p in pl)
-            if len(params) != 3:
-                raise ValueError("per-anchor path_loss list must have 3 entries")
-        else:
-            params = (_parse_path_loss(pl),) * 3
-        envs.append(EnvSpec(env=env, nlos=nlos, params=params))
+        envs.append(EnvSpec(env=env, nlos=nlos, params=path_loss_from_dict(e.get("path_loss", shared_pl))))
     train = cfg.get("train", {})
     music = cfg.get("music", {})
     aoa = AoaSim(
@@ -591,10 +560,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
                     "excess_loss_db": spec.nlos.excess_loss_db,
                     "aoa_bias_deg_sigma": spec.nlos.aoa_bias_deg_sigma,
                 },
-                "path_loss": [
-                    {"gamma": p.gamma, "sigma": p.sigma, "p_r_d0": p.p_r_d0, "d0": p.d0}
-                    for p in spec.params
-                ],
+                "path_loss": [asdict(p) for p in spec.params],
             }
             for spec in config.envs
         ],
@@ -625,19 +591,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _build_model(family: str, input_dim: int, seed: int, train_features=None, rbf_centers=40):
-    if family == "mlp":
-        return neural.make_mlp(input_dim, hidden=(32, 32), seed=seed)
-    if family == "cnn":
-        return neural.make_cnn(input_dim, seed=seed)
-    if family == "rbf":
-        if train_features is None:
-            raise ValueError("RBF init needs training features for center placement")
-        k = min(rbf_centers, train_features.shape[0])
-        return neural.RbfModel.init(train_features, k=k, seed=seed)
-    raise ValueError(f"unknown model family {family!r}")
-
-
 def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[tuple[int, int]]]:
     """Seeds of one (environment, seed) cell: dataset, split, and (init, train)
     per model family, all drawn from SeedSequence([seed, env_idx]). A cell's
@@ -661,8 +614,6 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
         seed=dataset_seed,
         aoa=config.aoa,
     )
-    views = {"hybrid": ds_hybrid, "rssi": ds_hybrid.project_rssi()}
-
     tr_h, te_h = split(ds_hybrid, config.train_fraction, seed=split_seed)
     baselines = {
         "trilat": trilat_baseline_mae_mm(spec.env, list(spec.params), te_h),
@@ -671,30 +622,17 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
 
     runs = []
     for layout in config.layouts:
-        tr, te = split(views[layout], config.train_fraction, seed=split_seed)
+        # The rssi layout sees the same draws and split, minus the AoA columns.
+        tr, te = (tr_h, te_h) if layout == "hybrid" else (tr_h.project_rssi(), te_h.project_rssi())
         stats = NormStats.fit(tr)
         xn = stats.normalize_features(tr.features)
         yn = stats.normalize_targets(tr.targets)
-        steps = config.epochs * math.ceil(tr.n / config.batch_size)
         for family, (init_seed, train_seed) in zip(config.models, model_seeds):
-            model = _build_model(family, tr.features.shape[1], init_seed, xn, config.rbf_centers)
+            model = neural.build(family, xn, init_seed, config.rbf_centers)
             untrained = evaluate_mae(model, te, stats)
-            if family == "rbf":
-                final_loss = neural.fit_rbf_output(model, xn, yn)
-                history = np.array([final_loss])
-            else:
-                result = neural.train(
-                    model,
-                    xn,
-                    yn,
-                    neural.TrainConfig(
-                        learning_rate=config.learning_rate,
-                        batch_size=config.batch_size,
-                        iterations=steps,
-                        seed=train_seed,
-                    ),
-                )
-                history = result.loss_history
+            history = neural.fit(
+                model, xn, yn, config.epochs, config.batch_size, config.learning_rate, train_seed
+            )
             trained = evaluate_mae(model, te, stats)
             stride = max(1, history.size // _HISTORY_ROWS)
             runs.append(
@@ -726,16 +664,33 @@ def _cell_worker(args):
     return _run_cell(*args)
 
 
+class UsageError(ValueError):
+    """Bad input from the user's environment rather than a runtime failure."""
+
+
+def worker_count(n_cells: int) -> int:
+    """Worker processes for n_cells: LOCUS_THREADS (unset or empty: 1), clamped to
+    min(n_cells, CPU count) because a process pool starts all its workers at once."""
+    raw = os.environ.get("LOCUS_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"LOCUS_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, n_cells, os.cpu_count() or 1)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Full sweep; returns the report dict and optionally writes the table files.
 
     Cells (environment x seed) are independent. LOCUS_THREADS > 1 runs them
-    in that many worker processes; results are identical either way.
+    in worker processes (see worker_count); results are identical either way.
     """
     cells = [(config, ei, s) for ei in range(len(config.envs)) for s in config.seeds]
-    threads = int(os.environ.get("LOCUS_THREADS", "1") or "1")
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_results = list(pool.map(_cell_worker, cells))
     else:
         cell_results = [_run_cell(*c) for c in cells]

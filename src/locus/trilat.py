@@ -5,8 +5,8 @@ circle equations
 
     (x - xi)^2 + (y - yi)^2 = di^2        i = 1, 2, 3
 
-are linearized by subtracting the third from the first two, giving a 2x2
-system A [x y]^T = b solved through the normal equations.
+are linearized by subtracting the third from the first two, giving a square
+2x2 system A [x y]^T = b that is solved directly.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from .channel import PathLossParams, per_anchor_params
 from .environment import Environment, Point2D
 
-# Reject nearly-singular linear systems.
+# Reject nearly-singular linear systems. Environment only refuses degenerate
+# anchor triangles, so a thin but valid one can still reach this limit.
 MAX_CONDITION = 1e12
-MIN_ABS_DET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class DistanceVector:
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    a: np.ndarray  # (2, 2)
-    b: np.ndarray  # (2,)
-
-
-@dataclass(frozen=True)
 class PositionEstimate:
     p: Point2D
     residual: float
@@ -56,63 +50,46 @@ def rssi_to_distance(params: PathLossParams, rssi: float) -> float:
     Clamping keeps very strong readings (receiver closer than the reference
     distance, or positive noise spikes) from mapping to d < d0.
     """
-    if params.gamma == 0:
-        raise ValueError("gamma must be nonzero to invert the path loss law")
     d = params.d0 * 10.0 ** ((params.p_r_d0 - rssi) / (10.0 * params.gamma))
     return max(d, params.d0)
 
 
-def linearize(anchor_positions, d: DistanceVector) -> LinearSystem:
-    """Subtract circle 3 from circles 1 and 2.
+def rssi_distances(params, rssi) -> DistanceVector:
+    """Anchor distances implied by three RSSI readings.
 
-    Row i of the system reads
-        2(x3 - xi) x + 2(y3 - yi) y = di^2 - d3^2 - xi^2 + x3^2 - yi^2 + y3^2
-    Anchors must not be collinear.
+    params: one PathLossParams per anchor (anchor id order), or a single
+    set shared by all three. rssi: three readings in the same order.
     """
-    (x1, y1), (x2, y2), (x3, y3) = [(p.x, p.y) for p in anchor_positions]
+    params3 = per_anchor_params(params)
+    if len(rssi) != 3:
+        raise ValueError("exactly three rssi readings required")
+    return DistanceVector(tuple(rssi_to_distance(p, r) for p, r in zip(params3, rssi)))
+
+
+def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
+    """Estimate a position from three RSSI readings (see rssi_distances).
+
+    Row i of the system subtracts circle 3 from circle i:
+        2(x3 - xi) x + 2(y3 - yi) y = di^2 - d3^2 - xi^2 + x3^2 - yi^2 + y3^2
+    The residual is the RMS mismatch between anchor distances implied by the
+    estimate and the RSSI-derived distances.
+    """
+    d = rssi_distances(params, rssi)
+    positions = [env.anchor(i).position for i in (1, 2, 3)]
+    (x1, y1), (x2, y2), (x3, y3) = [(p.x, p.y) for p in positions]
     d1, d2, d3 = d.d
-    a = np.array(
-        [
-            [2.0 * (x3 - x1), 2.0 * (y3 - y1)],
-            [2.0 * (x3 - x2), 2.0 * (y3 - y2)],
-        ]
-    )
+    a = np.array([[2.0 * (x3 - x1), 2.0 * (y3 - y1)], [2.0 * (x3 - x2), 2.0 * (y3 - y2)]])
     b = np.array(
         [
             d1**2 - d3**2 - x1**2 + x3**2 - y1**2 + y3**2,
             d2**2 - d3**2 - x2**2 + x3**2 - y2**2 + y3**2,
         ]
     )
-    if abs(float(np.linalg.det(a))) <= MIN_ABS_DET:
-        raise ValueError("anchors are collinear; trilateration system is singular")
-    return LinearSystem(a, b)
-
-
-def solve_position(system: LinearSystem) -> Point2D:
-    """Normal-equation solve X = (A^T A)^-1 A^T b with a conditioning guard."""
-    cond = float(np.linalg.cond(system.a))
+    cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise ValueError(f"linear system condition number {cond:.3e} too large")
-    ata = system.a.T @ system.a
-    atb = system.a.T @ system.b
-    x = np.linalg.solve(ata, atb)
-    return Point2D(float(x[0]), float(x[1]))
-
-
-def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
-    """Estimate a position from three RSSI readings.
-
-    params: one PathLossParams per anchor (anchor id order), or a single
-    set shared by all three. rssi: three readings in the same order.
-    The residual is the RMS mismatch between anchor distances implied by the
-    estimate and the RSSI-derived distances.
-    """
-    params3 = per_anchor_params(params)
-    if len(rssi) != 3:
-        raise ValueError("exactly three rssi readings required")
-    d = DistanceVector(tuple(rssi_to_distance(params3[i], rssi[i]) for i in range(3)))
-    positions = [env.anchor(i).position for i in (1, 2, 3)]
-    est = solve_position(linearize(positions, d))
+    x, y = np.linalg.solve(a, b)
+    est = Point2D(x, y)
     mism = [est.distance_to(positions[i]) - d.d[i] for i in range(3)]
     residual = math.sqrt(sum(m * m for m in mism) / 3.0)
     return PositionEstimate(p=est, residual=residual)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from locus import pipeline
 from locus.channel import PathLossParams, expected_rssi
 from locus.cli import main
 from locus.environment import Point2D, make_environment, true_aoa, true_distance
@@ -276,6 +277,23 @@ def test_dataset_train_predict_eval_chain(capsys, tmp_path):
     assert eval_doc["n_test"] == 18  # 3 points x round(0.2 * 30)
 
 
+def test_train_cnn(capsys, tmp_path):
+    cfg = _config_file(tmp_path)
+    ds_path = tmp_path / "ds.json"
+    _run(capsys, ["simulate", "dataset", "--config", cfg, "--env-name", "roomA",
+                  "--seed", "3", "--out", str(ds_path)])
+    code, out, _ = _run(
+        capsys,
+        ["train", "--data", str(ds_path), "--model", "cnn", "--out", str(tmp_path / "cnn.json"),
+         "--epochs", "3", "--batch-size", "16", "--seed", "1"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    n_train = 3 * round(0.8 * 30)  # 3 points x 30 samples, split per point
+    assert doc["steps"] == 3 * math.ceil(n_train / 16)
+    assert math.isfinite(doc["test_mae_mm"])
+
+
 def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
     cfg = _config_file(tmp_path, outlier={"rssi_sigma_multiple": 2.0, "aoa_threshold_deg": 10.0})
     ds_path = tmp_path / "ds.json"
@@ -350,6 +368,20 @@ def test_report_writes_tables(capsys, tmp_path):
     for row in report["mae_table_mm"].values():
         for v in row.values():
             assert v == round(v, 6)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_report_bad_locus_threads_exits_1(capsys, tmp_path, monkeypatch, value):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+    monkeypatch.setenv("LOCUS_THREADS", value)
+    out_dir = tmp_path / "rep"
+    code, _, err = _run(capsys, ["report", "--config", _config_file(tmp_path), "--out", str(out_dir)])
+    assert code == 1
+    assert "LOCUS_THREADS" in err and repr(value) in err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_fit_rbf_output_matches_lstsq_oracle():
 def test_fit_rbf_output_reduces_loss():
     x, y = _data(60, 6, seed=9)
     model = RbfModel.init(x, k=12, seed=2)
-    before = neural.loss_and_gradients(model, x, y)[0]
+    before = model.loss_and_gradients(x, y)[0]
     after = fit_rbf_output(model, x, y)
     assert after < before
 
@@ -227,7 +227,7 @@ def test_loss_is_mse_over_all_entries():
     m = make_mlp(3, seed=0)
     x, y = _data(10, 3, seed=4)
     pred = m.forward_batch(x)
-    loss = neural.loss_and_gradients(m, x, y)[0]
+    loss = m.loss_and_gradients(x, y)[0]
     assert loss == pytest.approx(np.mean((pred - y) ** 2), abs=1e-12)
 
 
@@ -269,7 +269,7 @@ def test_train_records_pre_update_loss():
     x, y = _data(16, 3, seed=9)
     m = make_mlp(3, seed=4)
     # full-batch: the first batch is the whole (shuffled) set
-    init_loss = neural.loss_and_gradients(m, x, y)[0]
+    init_loss = m.loss_and_gradients(x, y)[0]
     res = train(m, x, y, TrainConfig(learning_rate=0.1, batch_size=16, iterations=3, seed=0))
     assert res.loss_history[0] == pytest.approx(init_loss, abs=1e-12)
 
@@ -288,6 +288,24 @@ def test_batch_size_larger_than_data_is_full_batch():
     m = make_mlp(3, seed=5)
     res = train(m, x, y, TrainConfig(learning_rate=0.05, batch_size=64, iterations=20, seed=1))
     assert len(res.loss_history) == 20
+
+
+def test_build_and_fit_recipes():
+    """Each family's architecture and fit recipe as the sweep and the CLI use them."""
+    x, y = _data(7, 6, seed=12)
+    assert neural.build("mlp", x, seed=0, rbf_centers=40).hidden == (32, 32)
+    assert neural.build("cnn", x, seed=0, rbf_centers=40).w0.shape[0] == 32
+    rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
+    assert rbf.centers.shape == (7, 6)  # k = min(centers, n)
+    ref = RbfModel(rbf.centers, rbf.widths, rbf.w_out, rbf.b_out)
+    history = neural.fit(rbf, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0, ridge=1e-3)
+    assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
+    assert np.array_equal(rbf.w_out, ref.w_out)
+    mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
+    history = neural.fit(mlp, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0)
+    assert history.size == 3 * math.ceil(7 / 2)
+    with pytest.raises(ValueError, match="unknown model family"):
+        neural.build("svm", x, seed=0, rbf_centers=40)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from locus.pipeline import (
     Dataset,
     NormStats,
     OutlierPolicy,
+    UsageError,
     config_to_dict,
     dataset_from_dict,
     dataset_to_dict,
@@ -26,6 +28,7 @@ from locus.pipeline import (
     screen_outlier,
     split,
     trilat_baseline_mae_mm,
+    worker_count,
 )
 
 PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
@@ -436,10 +439,27 @@ def test_run_experiment_parallel_matches_serial(monkeypatch):
     cfg = _small_config()
     serial = run_experiment(cfg)
     monkeypatch.setenv("LOCUS_THREADS", "3")
+    # Keep the pool path under test on hosts with fewer cores.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     parallel = run_experiment(cfg)
     assert json.dumps(serial["mae_table_mm"], sort_keys=True) == json.dumps(
         parallel["mae_table_mm"], sort_keys=True
     )
+
+
+def test_worker_count_clamps_to_cells_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("LOCUS_THREADS", raising=False)
+    assert worker_count(30) == 1
+    for value, cells, want in (("", 30, 1), ("2", 30, 2), ("1000", 30, 4), ("1000", 3, 3), (" 3 ", 30, 3)):
+        monkeypatch.setenv("LOCUS_THREADS", value)
+        assert worker_count(cells) == want, (value, cells)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(30) == 1
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("LOCUS_THREADS", bad)
+        with pytest.raises(UsageError, match="LOCUS_THREADS"):
+            worker_count(30)
 
 
 def test_paired_layouts_share_channel_draws():

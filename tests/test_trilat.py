@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locus.channel import PathLossParams, expected_rssi
-from locus.environment import Point2D, make_environment, true_distance
-from locus.trilat import (
-    DistanceVector,
-    linearize,
-    rssi_to_distance,
-    solve_position,
-    trilaterate,
-)
+from locus.environment import Anchor, Environment, Point2D, make_environment, true_distance
+from locus.trilat import DistanceVector, rssi_to_distance, trilaterate
 
 
 def _env(l=13.0, w=13.0):
@@ -43,44 +37,30 @@ def test_rssi_to_distance_monotone(rssi, gamma):
 
 
 def test_linearize_rows_against_symbolic_oracle():
-    """The linear system must follow from subtracting circle 3's equation.
+    """The fix must solve circles 1 and 2 minus circle 3 exactly.
 
     Symbolic route: expand (x-xi)^2 + (y-yi)^2 = di^2 minus the third
-    equation with sympy and compare coefficients.
+    equation with sympy and solve the two linear equations exactly. The
+    distances are mutually inconsistent, so no point lies on all three
+    circles and only the linearized system fixes the answer. No anchor
+    coordinate is zero, so every term of the system counts.
     """
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
-    anchors = [(0.0, 0.0), (13.0, 0.0), (0.0, 13.0)]
+    anchors = [(1.5, 0.5), (11.0, 2.0), (3.0, 12.5)]
+    env = Environment(
+        "room", 13.0, 13.0, tuple(Anchor(i + 1, Point2D(*anchors[i]), (1, 1)) for i in range(3)), ()
+    )
     d = [5.0, 11.0, 9.5]
     exprs = [
-        (x - ax) ** 2 + (y - ay) ** 2 - di**2 for (ax, ay), di in zip(anchors, d)
+        (x - sympy.Rational(ax)) ** 2 + (y - sympy.Rational(ay)) ** 2 - sympy.Rational(di) ** 2
+        for (ax, ay), di in zip(anchors, d)
     ]
-    sys_ = linearize([Point2D(ax, ay) for ax, ay in anchors], DistanceVector(tuple(d)))
-    for i in range(2):
-        diff = sympy.expand(exprs[i] - exprs[2])  # linear in x, y
-        ax_coef = float(diff.coeff(x))
-        ay_coef = float(diff.coeff(y))
-        const = float(diff.subs({x: 0, y: 0}))
-        # row: a_row . [x, y] = b  <=>  diff = 0
-        assert sys_.a[i, 0] == pytest.approx(ax_coef, abs=1e-9)
-        assert sys_.a[i, 1] == pytest.approx(ay_coef, abs=1e-9)
-        assert sys_.b[i] == pytest.approx(-const, abs=1e-9)
-
-
-def test_linearize_collinear_rejected():
-    anchors = [Point2D(0.0, 0.0), Point2D(5.0, 0.0), Point2D(10.0, 0.0)]
-    with pytest.raises(ValueError):
-        linearize(anchors, DistanceVector((1.0, 2.0, 3.0)))
-
-
-def test_solve_position_exact_point():
-    env = _env()
-    p = Point2D(4.0, 7.0)
-    d = DistanceVector(tuple(true_distance(env, i, p) for i in (1, 2, 3)))
-    anchors = [a.position for a in env.anchors]
-    est = solve_position(linearize(anchors, d))
-    assert est.x == pytest.approx(4.0, abs=1e-9)
-    assert est.y == pytest.approx(7.0, abs=1e-9)
+    exact = sympy.solve([sympy.expand(exprs[i] - exprs[2]) for i in range(2)], [x, y])
+    params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+    est = trilaterate(env, params, [expected_rssi(params, di) for di in d])
+    assert est.p.x == pytest.approx(float(exact[x]), abs=1e-9)
+    assert est.p.y == pytest.approx(float(exact[y]), abs=1e-9)
 
 
 def test_trilaterate_noiseless_recovery():
