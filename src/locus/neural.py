@@ -60,7 +60,8 @@ def _xavier(rng, fan_in, fan_out, shape):
 
 def _mse_and_delta(pred, y):
     diff = pred - y
-    loss = float(np.mean(diff**2))
+    # The bits of np.mean(diff**2), without np.mean's per-call overhead.
+    loss = float((diff * diff).sum()) / diff.size
     return loss, 2.0 * diff / diff.size
 
 
@@ -74,6 +75,8 @@ class Regressor:
         raise NotImplementedError
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
+        """(batch MSE, gradient per params() name) of a batch that train() or
+        gradient_check() has already passed through _check_batch."""
         raise NotImplementedError
 
     def params(self) -> dict[str, np.ndarray]:
@@ -111,7 +114,6 @@ class MlpModel(Regressor):
         return a @ self.weights[-1].T + self.biases[-1]
 
     def loss_and_gradients(self, x, y):
-        x, y = self._check_batch(x, y)
         acts = [x]
         a = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -154,12 +156,14 @@ def make_mlp(input_dim: int, hidden=(32, 32), seed=0) -> MlpModel:
 
 
 def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np.ndarray:
-    """Fixed-iteration Lloyd k-means with seeded init.
+    """Lloyd k-means with seeded init, stopping once the assignments repeat.
 
     Initial centers are drawn without replacement from the deduplicated rows;
     when k >= number of distinct rows the distinct rows themselves are
     returned. Assignment ties go to the lowest center index; empty clusters
-    keep their previous center.
+    keep their previous center. Repeated assignments would recompute the
+    same centers, so stopping there gives the centers of a full run of
+    `iterations` steps.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
@@ -171,13 +175,20 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
         return unique.copy()
     rng = np.random.default_rng(seed)
     centers = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
+    labels = None
     for _ in range(iterations):
         d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = data[mask].mean(axis=0)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        # Row-order sums over counts: for rows of two or more features, the
+        # bits of data[labels == j].mean(axis=0).
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, data)
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
     return centers
 
 
@@ -239,7 +250,6 @@ class RbfModel(Regressor):
         return self._kernels(x) @ self.w_out.T + self.b_out
 
     def loss_and_gradients(self, x, y):
-        x, y = self._check_batch(x, y)
         phi = self._kernels(x)
         out = phi @ self.w_out.T + self.b_out
         loss, delta = _mse_and_delta(out, y)
@@ -263,14 +273,24 @@ def fit_rbf_output(model: RbfModel, x: np.ndarray, y: np.ndarray, ridge=RIDGE_DE
     return float(np.mean((pred - y) ** 2))
 
 
+def _unfold(x, kw):
+    """im2col for a valid 1-d convolution of width kw (Chellapilla et al. 2006):
+    x (n, L, cin) -> (n * L', kw * cin) with L' = L - kw + 1, where row
+    (i, t) holds the window x[i, t : t + kw, :] flattened tap by tap."""
+    n, length, cin = x.shape
+    lout = length - kw + 1
+    return np.concatenate([x[:, k : k + lout, :] for k in range(kw)], axis=2).reshape(n * lout, kw * cin)
+
+
 def _conv1d(x, w, b):
-    # x: (n, L, cin), w: (kw, cin, cout) -> (n, L - kw + 1, cout)
-    kw = w.shape[0]
-    lout = x.shape[1] - kw + 1
-    out = np.zeros((x.shape[0], lout, w.shape[2]))
-    for k in range(kw):
-        out += x[:, k : k + lout, :] @ w[k]
-    return out + b
+    """Valid 1-d convolution as one matmul on the unfolded input.
+
+    x: (n, L, cin), w: (kw, cin, cout) -> (unfold(x), output (n, L - kw + 1, cout));
+    backprop reuses the unfolded input.
+    """
+    kw, _, cout = w.shape
+    u = _unfold(x, kw)
+    return u, (u @ w.reshape(-1, cout) + b).reshape(x.shape[0], -1, cout)
 
 
 class CnnModel(Regressor):
@@ -288,54 +308,52 @@ class CnnModel(Regressor):
         self.w1 = np.asarray(w1, dtype=float)
         self.b1 = np.asarray(b1, dtype=float)
         self.input_dim = int(input_dim)
-        kw = self.cw0.shape[0]
-        self._l1 = self.input_dim - kw + 1
-        self._l2 = self._l1 - self.cw1.shape[0] + 1
-        if self._l2 < 1:
+        l2 = self.input_dim - self.cw0.shape[0] - self.cw1.shape[0] + 2
+        if l2 < 1:
             raise ValueError(f"input length {self.input_dim} too short for the conv stack")
-        flat = self._l2 * self.cw1.shape[2]
+        flat = l2 * self.cw1.shape[2]
         if self.w0.shape[1] != flat:
             raise ValueError(f"dense input size {self.w0.shape[1]} != flattened {flat}")
 
     def _forward_cached(self, x):
-        h = x[:, :, None]
-        a1 = np.tanh(_conv1d(h, self.cw0, self.cb0))
-        a2 = np.tanh(_conv1d(a1, self.cw1, self.cb1))
+        u0, z1 = _conv1d(x[:, :, None], self.cw0, self.cb0)
+        a1 = np.tanh(z1)
+        u1, z2 = _conv1d(a1, self.cw1, self.cb1)
+        a2 = np.tanh(z2)
         f = a2.reshape(x.shape[0], -1)
         h1 = f @ self.w0.T + self.b0
         out = h1 @ self.w1.T + self.b1
-        return h, a1, a2, f, h1, out
+        return u0, a1, u1, a2, f, h1, out
 
     def forward_batch(self, x):
         x = self._check_batch(x)
         return self._forward_cached(x)[-1]
 
     def loss_and_gradients(self, x, y):
-        x, y = self._check_batch(x, y)
-        h, a1, a2, f, h1, out = self._forward_cached(x)
+        u0, a1, u1, a2, f, h1, out = self._forward_cached(x)
         loss, delta = _mse_and_delta(out, y)
-        grads = {}
-        grads["w1"] = delta.T @ h1
-        grads["b1"] = delta.sum(axis=0)
         d_h1 = delta @ self.w1
-        grads["w0"] = d_h1.T @ f
-        grads["b0"] = d_h1.sum(axis=0)
         d_f = d_h1 @ self.w0
-        d_z2 = d_f.reshape(a2.shape) * (1.0 - a2**2)
-        kw1 = self.cw1.shape[0]
-        grads["cw1"] = np.stack(
-            [np.einsum("ntc,nto->co", a1[:, k : k + self._l2, :], d_z2) for k in range(kw1)]
-        )
-        grads["cb1"] = d_z2.sum(axis=(0, 1))
+        kw1, f0, f1 = self.cw1.shape
+        n, l2, _ = a2.shape
+        d_z2 = (d_f.reshape(a2.shape) * (1.0 - a2**2)).reshape(-1, f1)
+        # The input gradient of a convolution is dZ @ W^T on the unfolded
+        # windows, folded back by summing each tap's slice where windows overlap.
+        d_u1 = (d_z2 @ self.cw1.reshape(-1, f1).T).reshape(n, l2, kw1, f0)
         d_a1 = np.zeros_like(a1)
         for k in range(kw1):
-            d_a1[:, k : k + self._l2, :] += d_z2 @ self.cw1[k].T
-        d_z1 = d_a1 * (1.0 - a1**2)
-        kw0 = self.cw0.shape[0]
-        grads["cw0"] = np.stack(
-            [np.einsum("ntc,nto->co", h[:, k : k + self._l1, :], d_z1) for k in range(kw0)]
-        )
-        grads["cb0"] = d_z1.sum(axis=(0, 1))
+            d_a1[:, k : k + l2, :] += d_u1[:, :, k, :]
+        d_z1 = (d_a1 * (1.0 - a1**2)).reshape(-1, f0)
+        grads = {
+            "w1": delta.T @ h1,
+            "b1": delta.sum(axis=0),
+            "w0": d_h1.T @ f,
+            "b0": d_h1.sum(axis=0),
+            "cw1": (u1.T @ d_z2).reshape(self.cw1.shape),
+            "cb1": d_z2.sum(axis=0),
+            "cw0": (u0.T @ d_z1).reshape(self.cw0.shape),
+            "cb0": d_z1.sum(axis=0),
+        }
         return loss, grads
 
     def params(self):
@@ -375,27 +393,34 @@ def train(model: Regressor, x, y, cfg: TrainConfig) -> TrainResult:
     Sample order reshuffles at every epoch boundary from one generator
     seeded with cfg.seed, so a fixed seed reproduces the loss history
     bit for bit. The recorded loss is the batch loss before each update.
+    Shapes are checked once here; a non-finite batch loss raises ValueError
+    naming the family and the step.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError("training data must be non-empty and aligned")
+    x, y = model._check_batch(x, y)
+    if x.shape[0] < 1:
+        raise ValueError("training data must be non-empty")
     rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
+    lr = cfg.learning_rate
     params = model.params()
     history = np.empty(cfg.iterations)
-    order = None
     pos = n
-    for step in range(cfg.iterations):
-        if pos >= n:
-            order = rng.permutation(n)
-            pos = 0
-        idx = order[pos : pos + cfg.batch_size]
-        pos += cfg.batch_size
-        loss, grads = model.loss_and_gradients(x[idx], y[idx])
-        for name, g in grads.items():
-            params[name] -= cfg.learning_rate * g
-        history[step] = loss
+    # Overflow on the way to a non-finite loss is reported by the ValueError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.iterations):
+            if pos >= n:
+                order = rng.permutation(n)
+                xs, ys = x[order], y[order]
+                pos = 0
+            end = pos + cfg.batch_size
+            loss, grads = model.loss_and_gradients(xs[pos:end], ys[pos:end])
+            if not math.isfinite(loss):
+                raise ValueError(f"{model.family} training diverged: non-finite batch loss at step {step}")
+            pos = end
+            for name, g in grads.items():
+                g *= lr  # in place; the same bits as params[name] -= lr * g
+                params[name] -= g
+            history[step] = loss
     return TrainResult(model=model, loss_history=history)
 
 
@@ -437,6 +462,7 @@ def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
     if x.ndim == 1:
         x = x[None, :]
         y = y[None, :] if y.ndim == 1 else y
+    x, y = model._check_batch(x, y)
     params = model.params()
     if not params:
         raise ValueError("model has no trainable parameters")

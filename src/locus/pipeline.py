@@ -630,9 +630,12 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
         for family, (init_seed, train_seed) in zip(config.models, model_seeds):
             model = neural.build(family, xn, init_seed, config.rbf_centers)
             untrained = evaluate_mae(model, te, stats)
-            history = neural.fit(
-                model, xn, yn, config.epochs, config.batch_size, config.learning_rate, train_seed
-            )
+            try:
+                history = neural.fit(
+                    model, xn, yn, config.epochs, config.batch_size, config.learning_rate, train_seed
+                )
+            except ValueError as e:
+                raise ValueError(f"{spec.env.name} seed {seed} layout {layout}: {e}") from e
             trained = evaluate_mae(model, te, stats)
             stride = max(1, history.size // _HISTORY_ROWS)
             runs.append(
@@ -761,7 +764,7 @@ def write_report_files(report: dict, runs_with_history: list, config: Experiment
     """report.json plus mae/improvement tables and the training loss log."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(_round6(report), f, indent=2, sort_keys=True)
+        json.dump(_round6(report), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
     cols = [f"{family}_{layout}" for family in config.models for layout in config.layouts]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -368,6 +369,20 @@ def test_report_writes_tables(capsys, tmp_path):
     for row in report["mae_table_mm"].values():
         for v in row.values():
             assert v == round(v, 6)
+
+
+def test_report_diverging_training_exits_2(capsys, tmp_path):
+    cfg = _config_file(
+        tmp_path, models=["mlp"], train={"learning_rate": 1e3, "batch_size": 16, "epochs": 50}
+    )
+    out_dir = tmp_path / "rep"
+    code, out, err = _run(capsys, ["report", "--config", cfg, "--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert re.search(
+        r"roomA seed 0 layout rssi: mlp training diverged: non-finite batch loss at step \d+", err
+    )
+    assert not (out_dir / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locus import neural
 from locus.neural import (
@@ -100,7 +102,8 @@ def test_conv1d_matches_loop_oracle():
     x = rng.standard_normal((4, 7, 3))
     w = rng.standard_normal((2, 3, 5))
     b = rng.standard_normal(5)
-    got = _conv1d(x, w, b)
+    u, got = _conv1d(x, w, b)
+    assert np.array_equal(u.reshape(4, 6, 2 * 3)[1, 2], x[1, 2:4].ravel())  # row = one window
     ref = np.zeros((4, 6, 5))
     for n in range(4):
         for t in range(6):
@@ -153,6 +156,54 @@ def test_kmeans_deterministic():
     rng = np.random.default_rng(0)
     data = rng.uniform(0, 1, (50, 3))
     assert np.array_equal(kmeans(data, 7, seed=3), kmeans(data, 7, seed=3))
+
+
+def _kmeans_mask_loop(data, k, seed, iterations=neural.KMEANS_ITERATIONS):
+    """k-means as first written: every iteration runs, and each center is
+    updated from its own boolean mask."""
+    unique = np.unique(data, axis=0)
+    if k >= unique.shape[0]:
+        return unique.copy()
+    rng = np.random.default_rng(seed)
+    centers = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
+    for _ in range(iterations):
+        d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centers[j] = data[mask].mean(axis=0)
+    return centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    d=st.integers(2, 6),
+    k_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    grid=st.booleans(),
+)
+def test_kmeans_matches_mask_loop_oracle(n, d, k_frac, seed, grid):
+    """Bincount sums and the stop at repeated assignments give the bits of the
+    fixed 50-iteration mask loop, ties and duplicate rows included. Rows have
+    at least two features, as every feature layout does: numpy sums a single
+    column pairwise, so with d = 1 the mask loop's means differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, d))
+    if grid:
+        data = np.round(data)  # few distinct values: ties and duplicate rows
+    k = 1 + int(k_frac * (n - 1))
+    assert np.array_equal(kmeans(data, k, seed=seed), _kmeans_mask_loop(data, k, seed))
+
+
+def test_kmeans_empty_cluster_keeps_its_center():
+    """A case whose second assignment leaves one center without rows."""
+    data = np.array(
+        [[-2.0, 1.0], [0.0, -1.0], [-1.5, 0.0], [0.0, -2.5], [0.5, -0.5], [-0.5, -1.0],
+         [1.5, 2.0], [0.0, -0.5], [0.5, 0.5]]
+    )
+    assert np.array_equal(kmeans(data, 6, seed=17522), _kmeans_mask_loop(data, 6, 17522))
 
 
 def test_rbf_widths_two_nearest_oracle():
@@ -223,6 +274,72 @@ def test_gradient_check_random_configs():
         assert gradient_check(RbfModel.init(x, k=min(4, n), seed=i), x, y) < 1e-4
 
 
+def _cnn_stacked_einsum(m, x, y):
+    """CnnModel's loss and gradients as first written: per-tap shifted
+    products for the convolutions and a stacked einsum per filter gradient."""
+
+    def conv(a, w, b):
+        lout = a.shape[1] - w.shape[0] + 1
+        out = np.zeros((a.shape[0], lout, w.shape[2]))
+        for k in range(w.shape[0]):
+            out += a[:, k : k + lout, :] @ w[k]
+        return out + b
+
+    h = x[:, :, None]
+    a1 = np.tanh(conv(h, m.cw0, m.cb0))
+    a2 = np.tanh(conv(a1, m.cw1, m.cb1))
+    l1, l2 = a1.shape[1], a2.shape[1]
+    f = a2.reshape(x.shape[0], -1)
+    h1 = f @ m.w0.T + m.b0
+    out = h1 @ m.w1.T + m.b1
+    diff = out - y
+    delta = 2.0 * diff / diff.size
+    g = {"w1": delta.T @ h1, "b1": delta.sum(axis=0)}
+    d_h1 = delta @ m.w1
+    g["w0"] = d_h1.T @ f
+    g["b0"] = d_h1.sum(axis=0)
+    d_z2 = (d_h1 @ m.w0).reshape(a2.shape) * (1.0 - a2**2)
+    kw1, kw0 = m.cw1.shape[0], m.cw0.shape[0]
+    g["cw1"] = np.stack([np.einsum("ntc,nto->co", a1[:, k : k + l2, :], d_z2) for k in range(kw1)])
+    g["cb1"] = d_z2.sum(axis=(0, 1))
+    d_a1 = np.zeros_like(a1)
+    for k in range(kw1):
+        d_a1[:, k : k + l2, :] += d_z2 @ m.cw1[k].T
+    d_z1 = d_a1 * (1.0 - a1**2)
+    g["cw0"] = np.stack([np.einsum("ntc,nto->co", h[:, k : k + l1, :], d_z1) for k in range(kw0)])
+    g["cb0"] = d_z1.sum(axis=(0, 1))
+    return float(np.mean(diff**2)), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra=st.integers(0, 5),
+    n=st.integers(1, 40),
+    kernel_width=st.integers(2, 3),
+    filters=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    dense_width=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+)
+@example(extra=3, n=32, kernel_width=2, filters=(16, 16), dense_width=32, seed=0)  # sweep shape
+@example(extra=0, n=5, kernel_width=2, filters=(16, 16), dense_width=32, seed=1)  # rssi: d = 3
+@example(extra=2, n=9, kernel_width=3, filters=(3, 5), dense_width=4, seed=2)
+def test_cnn_im2col_gradients_match_stacked_einsum(extra, n, kernel_width, filters, dense_width, seed):
+    d = 2 * (kernel_width - 1) + 1 + extra  # the shortest input two convolutions take, plus extra
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal((n, 2))
+    m = make_cnn(d, filters=filters, kernel_width=kernel_width, dense_width=dense_width, seed=seed)
+    for p in (m.cb0, m.cb1, m.b0, m.b1):
+        p[:] = rng.standard_normal(p.shape)  # nonzero biases reach every term
+    loss, grads = m.loss_and_gradients(x, y)
+    ref_loss, ref = _cnn_stacked_einsum(m, x, y)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    assert grads.keys() == ref.keys() == m.params().keys()
+    for name in ref:
+        assert grads[name].shape == m.params()[name].shape
+        np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 def test_loss_is_mse_over_all_entries():
     m = make_mlp(3, seed=0)
     x, y = _data(10, 3, seed=4)
@@ -288,6 +405,45 @@ def test_batch_size_larger_than_data_is_full_batch():
     m = make_mlp(3, seed=5)
     res = train(m, x, y, TrainConfig(learning_rate=0.05, batch_size=64, iterations=20, seed=1))
     assert len(res.loss_history) == 20
+
+
+def test_train_checks_shapes_before_the_first_step():
+    x, y = _data(12, 4, seed=13)
+    m = make_mlp(4, seed=0)
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    m.loss_and_gradients = no_step
+    cfg = TrainConfig(learning_rate=0.1, batch_size=4, iterations=5, seed=0)
+    with pytest.raises(ValueError, match=r"expected batch shape \(n, 4\)"):
+        train(m, x[:, :3], y, cfg)
+    with pytest.raises(ValueError, match=r"expected targets shape \(12, 2\)"):
+        train(m, x, y[:, :1], cfg)
+    with pytest.raises(ValueError, match=r"expected targets shape \(12, 2\)"):
+        train(m, x, y[:10], cfg)
+
+
+def test_gradient_check_rejects_bad_shapes():
+    x, y = _data(6, 4, seed=14)
+    with pytest.raises(ValueError, match="expected batch shape"):
+        gradient_check(make_mlp(3, seed=0), x, y)
+    with pytest.raises(ValueError, match="expected targets shape"):
+        gradient_check(make_cnn(4, seed=0), x, y[:, :1])
+
+
+@pytest.mark.parametrize("family", ["mlp", "cnn"])
+def test_train_stops_at_first_non_finite_loss(family):
+    x, y = _data(24, 6, seed=15)
+    cfg = TrainConfig(learning_rate=1e3, batch_size=8, iterations=200, seed=0)
+    with pytest.raises(ValueError, match=rf"{family} training diverged: non-finite batch loss at step (\d+)") as e:
+        train(neural.build(family, x, seed=0, rbf_centers=4), x, y, cfg)
+    step = int(e.value.args[0].rsplit(" ", 1)[1])
+    assert step >= 1
+    # The same run cut just before that step has a finite history.
+    cfg.iterations = step
+    res = train(neural.build(family, x, seed=0, rbf_centers=4), x, y, cfg)
+    assert np.all(np.isfinite(res.loss_history))
 
 
 def test_build_and_fit_recipes():

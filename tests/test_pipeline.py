@@ -29,6 +29,7 @@ from locus.pipeline import (
     split,
     trilat_baseline_mae_mm,
     worker_count,
+    write_report_files,
 )
 
 PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
@@ -423,6 +424,12 @@ def test_run_experiment_structure_and_tables(tmp_path):
     hist = (tmp_path / "loss_history.csv").read_text().strip().splitlines()
     assert hist[0] == "environment,layout,model,seed,step,loss"
     assert len(hist) > 10
+
+
+def test_report_json_refuses_nan(tmp_path):
+    cfg = _small_config()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report_files({"total_rejects": float("nan")}, [], cfg, tmp_path)
 
 
 def test_run_experiment_reproducible():
