@@ -5,11 +5,16 @@ subspace -> pseudo-spectrum scan -> peak picking with quadratic refinement.
 
 The eigendecomposition is LAPACK's Hermitian solver through numpy.linalg.eigh.
 The noise-subspace projector does not depend on the phase of its eigenvectors.
+
+The scan grid and its steering matrix depend only on the array and the grid,
+so they are built once and kept in a small LRU cache keyed on the array and
+the exact grid values. The cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +33,7 @@ class CorrelationMatrix:
         m = self.r.shape[0]
         if self.r.ndim != 2 or self.r.shape != (m, m):
             raise ValueError("correlation matrix must be square")
-        if not np.all(np.isfinite(self.r.real)) or not np.all(np.isfinite(self.r.imag)):
+        if not np.isfinite(self.r).all():
             raise ValueError("correlation matrix must be finite")
 
 
@@ -64,8 +69,10 @@ def eigendecompose(corr: CorrelationMatrix) -> EigenDecomposition:
     Returns eigenvalues sorted descending with matching orthonormal columns.
     """
     r = corr.r
-    scale = float(np.linalg.norm(r))
-    if not np.allclose(r, r.conj().T, atol=max(scale, 1.0) * 1e-10):
+    rh = r.conj().T
+    atol = max(float(np.linalg.norm(r)), 1.0) * 1e-10
+    # The test np.allclose(r, rh, atol=atol) makes; r is finite here.
+    if not (np.abs(r - rh) <= atol + 1e-5 * np.abs(rh)).all():
         raise ValueError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(r)
     return EigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
@@ -87,30 +94,48 @@ def angle_grid(step_deg: float = 0.1) -> np.ndarray:
     return -90.0 + step_deg * np.arange(n + 1)
 
 
-def spatial_spectrum(un: np.ndarray, array: ArraySpec, grid_deg: np.ndarray) -> SpatialSpectrum:
-    """Pseudo-spectrum P(theta) = 1 / (a^H U_N U_N^H a) over an ascending grid."""
-    grid = np.asarray(grid_deg, dtype=float)
+@lru_cache(maxsize=8)
+def _cached_grid(step_deg: float) -> np.ndarray:
+    grid = angle_grid(step_deg)
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=8)
+def _scan(array: ArraySpec, grid_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The validated scan grid and its (m, g) steering matrix, both read-only."""
+    grid = np.frombuffer(grid_bytes, dtype=float)
     if grid.size == 0:
         raise ValueError("empty scan grid")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("scan grid must be strictly ascending")
     if grid[0] < -90.0 or grid[-1] > 90.0:
         raise ValueError("scan grid must lie within [-90, 90] degrees")
+    a = steering_matrix(array, grid)
+    a.flags.writeable = False
+    return grid, a
+
+
+def spatial_spectrum(un: np.ndarray, array: ArraySpec, grid_deg: np.ndarray) -> SpatialSpectrum:
+    """Pseudo-spectrum P(theta) = 1 / (a^H U_N U_N^H a) over an ascending grid."""
+    grid = np.asarray(grid_deg, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("scan grid must be one-dimensional")
     if un.shape[0] != array.m:
         raise ValueError("noise subspace row count does not match the array")
-    a = steering_matrix(array, grid)  # (m, g)
+    grid, a = _scan(array, grid.tobytes())
     proj = un.conj().T @ a  # (m - k, g)
     denom = np.sum(np.abs(proj) ** 2, axis=0)
     denom = np.maximum(denom, SPECTRUM_FLOOR)
     return SpatialSpectrum(grid_deg=grid, power=1.0 / denom)
 
 
-def _local_maxima(power: np.ndarray) -> list[int]:
+def _local_maxima(power: np.ndarray) -> np.ndarray:
     """Indices of local maxima: strictly above the left neighbor (so flat
     plateaus contribute their leading point only), at least as high as the
     right one. Endpoints count when they dominate their single neighbor."""
     padded = np.concatenate(([-np.inf], power, [-np.inf]))
-    return np.flatnonzero((power > padded[:-2]) & (power >= padded[2:])).tolist()
+    return np.flatnonzero((power > padded[:-2]) & (power >= padded[2:]))
 
 
 def _refine_peak(grid: np.ndarray, power: np.ndarray, i: int) -> float:
@@ -136,11 +161,12 @@ def estimate_aoa(x: SnapshotMatrix, k: int, grid_step_deg: float = 0.1) -> list[
         raise ValueError(f"source count must satisfy 1 <= k < {x.array.m}, got {k}")
     eig = eigendecompose(correlation_matrix(x))
     un = noise_subspace(eig, k)
-    spec = spatial_spectrum(un, x.array, angle_grid(grid_step_deg))
+    spec = spatial_spectrum(un, x.array, _cached_grid(grid_step_deg))
     maxima = _local_maxima(spec.power)
-    if len(maxima) < k:
-        raise ValueError(f"found {len(maxima)} spectrum peaks, need {k}")
+    if maxima.size < k:
+        raise ValueError(f"found {maxima.size} spectrum peaks, need {k}")
     # The grid ascends, so a stable sort on power breaks ties toward the lower angle.
-    chosen = np.asarray(maxima)[np.argsort(-spec.power[maxima], kind="stable")[:k]]
-    angles = [_refine_peak(spec.grid_deg, spec.power, i) for i in chosen]
-    return sorted(angles)
+    chosen = maxima[np.argsort(-spec.power[maxima], kind="stable")[:k]]
+    # Refined one peak at a time: at k = 1 a vectorised refinement costs more
+    # numpy calls than it saves.
+    return sorted(_refine_peak(spec.grid_deg, spec.power, i) for i in chosen.tolist())

@@ -84,7 +84,7 @@ class SnapshotMatrix:
         expect = (self.array.m, self.array.snapshots)
         if self.data.shape != expect:
             raise ValueError(f"snapshot shape {self.data.shape} != {expect}")
-        if not np.all(np.isfinite(self.data.real)) or not np.all(np.isfinite(self.data.imag)):
+        if not np.isfinite(self.data).all():
             raise ValueError("snapshot data must be finite")
 
 
@@ -177,13 +177,16 @@ def simulate_snapshots(
     t = array.snapshots
     a = steering_matrix(array, np.array([s.theta_deg for s in sources]))
     powers = np.array([db_to_power(s.power_db) for s in sources])
-    symbols = rng.standard_normal((k, t)) + 1j * rng.standard_normal((k, t))
+    npow = db_to_power(noise_power_db)
+    m = array.m if npow > 0.0 else 0
+    # One draw in the order symbol re, symbol im, noise re, noise im: the
+    # generator fills the block row by row, so the stream is that of four draws.
+    z = rng.standard_normal((2 * k + 2 * m, t))
+    symbols = z[:k] + 1j * z[k : 2 * k]
     symbols *= np.sqrt(powers / 2.0)[:, None]
     x = a @ symbols
-    npow = db_to_power(noise_power_db)
-    if npow > 0.0:
-        noise = rng.standard_normal((array.m, t)) + 1j * rng.standard_normal((array.m, t))
-        x = x + math.sqrt(npow / 2.0) * noise
+    if m:
+        x = x + math.sqrt(npow / 2.0) * (z[2 * k : 2 * k + m] + 1j * z[2 * k + m :])
     return SnapshotMatrix(x, array)
 
 

@@ -340,8 +340,10 @@ class CnnModel(Regressor):
         # The input gradient of a convolution is dZ @ W^T on the unfolded
         # windows, folded back by summing each tap's slice where windows overlap.
         d_u1 = (d_z2 @ self.cw1.reshape(-1, f1).T).reshape(n, l2, kw1, f0)
-        d_a1 = np.zeros_like(a1)
-        for k in range(kw1):
+        d_a1 = np.empty_like(a1)
+        d_a1[:, :l2, :] = d_u1[:, :, 0, :]
+        d_a1[:, l2:, :] = 0.0
+        for k in range(1, kw1):
             d_a1[:, k : k + l2, :] += d_u1[:, :, k, :]
         d_z1 = (d_a1 * (1.0 - a1**2)).reshape(-1, f0)
         grads = {

@@ -75,7 +75,8 @@ def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> np.ndarray:
     theoretical is one layout-ordered vector: 3 RSSI values, optionally
     followed by 3 AoA values. measured holds (n, 3|6) rows in the same layout
     and gives an (n,) mask; a single row gives a scalar. Angle differences are
-    compared raw (no wrapping).
+    wrapped: a deviation d counts as min(|d| mod 360, 360 - |d| mod 360), which
+    is |d| itself whenever |d| <= 180.
     """
     theoretical = np.asarray(theoretical, dtype=float)
     measured = np.asarray(measured, dtype=float)
@@ -84,7 +85,9 @@ def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> np.ndarray:
         raise ValueError("feature vectors must both have 3 or 6 entries")
     dev = np.abs(measured - theoretical)
     bad = np.any(dev[..., :3] > np.asarray(policy.rssi_threshold_db), axis=-1)
-    return ~(bad | np.any(dev[..., 3:] > policy.aoa_threshold_deg, axis=-1))
+    turn = dev[..., 3:] % 360.0
+    # Written as "all within" so that a non-finite angle, whose turn is NaN, fails.
+    return ~bad & np.all(np.minimum(turn, 360.0 - turn) <= policy.aoa_threshold_deg, axis=-1)
 
 
 @dataclass(frozen=True)

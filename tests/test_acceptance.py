@@ -275,6 +275,27 @@ def test_hybrid_beats_rssi_everywhere(sweep, verdict):
     )
 
 
+def test_music_mode_hybrid_beats_rssi_everywhere(tmp_path, verdict):
+    """The reference config in aoa_mode music, at its first two seeds and 20
+    samples per point: the subspace estimator keeps hybrid ahead of rssi."""
+    cfg = json.loads(PROFILE_CONFIG.read_text())
+    cfg.update(aoa_mode="music", seeds=cfg["seeds"][:2], n_per_point=20)
+    report = run_experiment(load_config(cfg), out_dir=tmp_path)
+    gaps = []
+    for env in ROOMS:
+        for fam in MODEL_FAMILIES:
+            rssi = _mean_mae(report, env, fam, "rssi")
+            hybrid = _mean_mae(report, env, fam, "hybrid")
+            gaps.append((100.0 * (rssi - hybrid) / rssi, env, fam))
+    worst = min(gaps)
+    ok = all(g[0] > 0 for g in gaps)
+    assert verdict(
+        "music mode: hybrid beats rssi-only",
+        ok,
+        f"seeds 0-1, 20 samples per point; worst improvement {worst[0]:.1f}% ({worst[1]}/{worst[2]})",
+    )
+
+
 def test_big_room_error_below_small_room(sweep, verdict):
     assert sweep.report is not None
     detail = []

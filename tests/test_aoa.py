@@ -15,8 +15,9 @@ from locus.aoa import (
     spatial_spectrum,
     _local_maxima,
     _refine_peak,
+    _scan,
 )
-from locus.channel import ArraySpec, SourceSpec, simulate_snapshots, steering_vector
+from locus.channel import ArraySpec, SourceSpec, simulate_snapshots, steering_matrix, steering_vector
 
 
 def _random_hermitian(m, rng):
@@ -71,6 +72,14 @@ def test_eigendecompose_descending_and_identity():
         eigendecompose(CorrelationMatrix(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)))
 
 
+def test_correlation_matrix_rejects_non_finite():
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan)):
+        r = np.eye(2, dtype=complex)
+        r[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationMatrix(r)
+
+
 def test_noise_subspace_shape_and_projector():
     rng = np.random.default_rng(5)
     h = _random_hermitian(6, rng)
@@ -121,13 +130,13 @@ def test_spatial_spectrum_grid_validation():
 
 
 def test_local_maxima_rules():
-    assert _local_maxima(np.array([0.0, 1.0, 0.0])) == [1]
+    assert _local_maxima(np.array([0.0, 1.0, 0.0])).tolist() == [1]
     # plateau contributes its leading point only
-    assert _local_maxima(np.array([0.0, 1.0, 1.0, 0.0])) == [1]
+    assert _local_maxima(np.array([0.0, 1.0, 1.0, 0.0])).tolist() == [1]
     # dominating endpoints count
-    assert _local_maxima(np.array([2.0, 1.0, 3.0])) == [0, 2]
+    assert _local_maxima(np.array([2.0, 1.0, 3.0])).tolist() == [0, 2]
     # strictly increasing: only the right endpoint
-    assert _local_maxima(np.array([1.0, 2.0, 3.0])) == [2]
+    assert _local_maxima(np.array([1.0, 2.0, 3.0])).tolist() == [2]
 
 
 def test_refine_peak_recovers_parabola_vertex():
@@ -137,6 +146,78 @@ def test_refine_peak_recovers_parabola_vertex():
     assert _refine_peak(grid, power, 1) == pytest.approx(vertex, abs=1e-12)
     # endpoints are returned unrefined
     assert _refine_peak(grid, power, 0) == -1.0
+
+
+def test_cached_scan_matches_fresh_steering_matrix():
+    """Interleaved arrays and grids never get another key's matrix."""
+    specs = [ArraySpec(8, 0.5, 256), ArraySpec(4, 0.5, 32), ArraySpec(8, 0.4, 256), ArraySpec(8, 0.5, 64)]
+    grids = [angle_grid(0.25), angle_grid(0.5), angle_grid(0.25)[1:], np.array([-10.0, 0.0, 10.0])]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        for spec in specs:
+            for g in grids:
+                grid, a = _scan(spec, np.asarray(g, dtype=float).tobytes())
+                assert np.array_equal(grid, g)
+                assert np.array_equal(a, steering_matrix(spec, g))
+                assert not grid.flags.writeable and not a.flags.writeable
+                q, _ = np.linalg.qr(rng.standard_normal((spec.m, spec.m - 1)) + 0j)
+                spec_out = spatial_spectrum(q, spec, g)
+                fresh = 1.0 / np.maximum(np.sum(np.abs(q.conj().T @ steering_matrix(spec, g)) ** 2, axis=0), 1e-15)
+                assert np.array_equal(spec_out.power, fresh)
+                assert not spec_out.grid_deg.flags.writeable
+
+
+def test_estimate_aoa_leaves_callers_grid_alone():
+    spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=64)
+    x = simulate_snapshots(spec, [SourceSpec(12.0, 0.0)], noise_power_db=-20.0, rng=np.random.default_rng(12))
+    g = angle_grid(0.25)
+    before = estimate_aoa(x, 1, grid_step_deg=0.25)
+    un = noise_subspace(eigendecompose(correlation_matrix(x)), 1)
+    spatial_spectrum(un, spec, g)
+    g[:] = 0.0  # the cache holds its own copy
+    assert estimate_aoa(x, 1, grid_step_deg=0.25) == before
+    assert angle_grid(0.25).flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    skew=st.sampled_from([0.0, 1e-16, 1e-12, 1e-11, 5e-11, 1e-10, 1e-9, 1e-6, 1.0]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_hermitian_guard_matches_allclose(m, seed, skew, scale):
+    rng = np.random.default_rng(seed)
+    r = scale * (_random_hermitian(m, rng) + skew * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))))
+    want = np.allclose(r, r.conj().T, atol=max(float(np.linalg.norm(r)), 1.0) * 1e-10)
+    if want:
+        eigendecompose(CorrelationMatrix(r))
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigendecompose(CorrelationMatrix(r))
+
+
+def test_hermitian_guard_at_the_tolerance_edge():
+    """Skews one float apart on either side of the bound np.allclose applies."""
+    for base in (0.0, 0.5, 3.0, 1e4):
+
+        def skewed(d):
+            r = np.eye(3, dtype=complex)
+            r[0, 1] = r[1, 0] = base
+            r[0, 1] += d
+            return r
+
+        def close(d):
+            r = skewed(d)
+            return np.allclose(r, r.conj().T, atol=max(float(np.linalg.norm(r)), 1.0) * 1e-10)
+
+        lo, hi = 0.0, 1.0
+        assert close(lo) and not close(hi)
+        while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if close(mid) else (lo, mid)
+        eigendecompose(CorrelationMatrix(skewed(lo)))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigendecompose(CorrelationMatrix(skewed(hi)))
 
 
 def test_estimate_single_source_accuracy():

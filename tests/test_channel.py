@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from locus.channel import (
     ArraySpec,
     PathLossParams,
+    SnapshotMatrix,
     SourceSpec,
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,
     snapshots_from_csv,
     snapshots_to_csv,
+    db_to_power,
     steering_matrix,
     steering_vector,
 )
@@ -147,6 +149,51 @@ def test_snapshots_source_count_validation():
         simulate_snapshots(spec, [], noise_power_db=0.0, rng=rng)
     with pytest.raises(ValueError):
         simulate_snapshots(spec, [SourceSpec(0.0, 0.0)] * 4, noise_power_db=0.0, rng=rng)
+
+
+def _four_draw_snapshots(array, sources, noise_power_db, rng):
+    """simulate_snapshots as it was with four standard_normal draws, kept as its oracle."""
+    k, t = len(sources), array.snapshots
+    a = steering_matrix(array, np.array([s.theta_deg for s in sources]))
+    powers = np.array([db_to_power(s.power_db) for s in sources])
+    symbols = rng.standard_normal((k, t)) + 1j * rng.standard_normal((k, t))
+    symbols *= np.sqrt(powers / 2.0)[:, None]
+    x = a @ symbols
+    npow = db_to_power(noise_power_db)
+    if npow > 0.0:
+        noise = rng.standard_normal((array.m, t)) + 1j * rng.standard_normal((array.m, t))
+        x = x + math.sqrt(npow / 2.0) * noise
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    noise_db=st.sampled_from([-math.inf, -20.0, 0.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([3, 4, 8]),
+    t=st.sampled_from([1, 7, 64, 256]),
+    thetas=st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2),
+    powers=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+)
+def test_snapshots_match_four_draw_oracle(k, noise_db, seed, m, t, thetas, powers):
+    """Same bits and same generator state afterwards as the four-draw code."""
+    spec = ArraySpec(m=m, spacing_wavelengths=0.5, snapshots=t)
+    sources = [SourceSpec(th, p) for th, p in zip(thetas[:k], powers[:k])]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        got = simulate_snapshots(spec, sources, noise_power_db=noise_db, rng=rng)
+        assert np.array_equal(got.data, _four_draw_snapshots(spec, sources, noise_db, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_snapshot_matrix_rejects_non_finite():
+    spec = ArraySpec(m=2, spacing_wavelengths=0.5, snapshots=2)
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
+        data = np.ones((2, 2), dtype=complex)
+        data[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SnapshotMatrix(data, spec)
 
 
 def test_snapshot_csv_roundtrip():

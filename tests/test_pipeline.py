@@ -72,6 +72,34 @@ def test_screen_rssi_only_layout():
     assert not screen_outlier(theo, theo + np.array([0.0, 9.5, 0.0]), policy)
 
 
+def test_screen_wraps_angle_deviations():
+    policy = OutlierPolicy((9.0, 9.0, 9.0), 10.0)
+    theo = np.array([-50.0, -60.0, -70.0, 10.0, 180.0, -170.0])
+    # Across the +-180 seam: 180 vs -175.5 is 4.5 degrees, -170 vs 175 is 15.
+    near = theo + np.array([0.0, 0.0, 0.0, 0.0, -355.5, 0.0])
+    far = theo + np.array([0.0, 0.0, 0.0, 0.0, 0.0, -15.0 + 360.0])
+    assert screen_outlier(theo, near, policy)
+    assert not screen_outlier(theo, far, policy)
+    # Whole turns fold away; up to 180 the deviation is the raw one.
+    assert screen_outlier(theo, theo + np.array([0.0] * 3 + [720.0 + 9.9, -360.0, 0.0]), policy)
+    with np.errstate(invalid="ignore"):
+        assert not screen_outlier(theo, theo + np.array([0.0] * 5 + [np.inf]), policy)
+    rng = np.random.default_rng(0)
+    meas = theo + np.column_stack([np.zeros((500, 3)), rng.uniform(-180.0, 180.0, (500, 3))])
+    raw = ~np.any(np.abs(meas - theo)[:, 3:] > policy.aoa_threshold_deg, axis=1)
+    assert np.array_equal(screen_outlier(theo, meas, policy), raw)
+
+
+def test_music_dataset_at_the_far_wall():
+    """Anchor 2 sees a point on the x = length wall at +180 degrees; its
+    MUSIC estimate lands near -180 and must pass the screen."""
+    env = make_environment("r", 9, 7, [Point2D(9.0, 3.5), Point2D(4.5, 3.5)])
+    assert true_aoa(env, 2, env.test_points[0]) == 180.0
+    ds = generate_dataset(env, PARAMS, NlosModel(4.0, 4.0), 20, "hybrid", seed=0, aoa=AoaSim(mode="music"))
+    wall = ds.features[ds.point_ids == 0, 4]
+    assert np.all(np.minimum(wall % 360.0, 360.0 - wall % 360.0) > 170.0)
+
+
 def test_default_policy_scales_with_sigma():
     p = default_outlier_policy([PARAMS] * 3)
     assert p.rssi_threshold_db == (9.0, 9.0, 9.0)
