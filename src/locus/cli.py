@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(obj):
-    print(json.dumps(_round6(obj), indent=2, sort_keys=True))
+    print(json.dumps(_round6(obj), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _read_json(path):
@@ -226,8 +226,16 @@ def _cmd_train(args):
 def _load_model(path):
     doc = _read_json(path)
     model, norm = neural.model_from_dict(doc)
-    stats = NormStats.from_dict(norm) if norm else None
+    stats = NormStats.from_dict(norm, model.input_dim) if norm else None
     return model, stats, doc
+
+
+def _finite_rows(values, what):
+    """values unchanged, or ValueError naming its first non-finite row, counted from 1."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} {bad[0] + 1} is not finite")
+    return values
 
 
 def _cmd_predict(args):
@@ -249,11 +257,9 @@ def _cmd_predict(args):
                     continue  # tolerate a single header line
     else:
         raise ValueError("pass --features or --input")
-    x = np.array(rows, dtype=float)
-    xn = stats.normalize_features(x) if stats else x
-    pred = model.forward_batch(xn)
-    if stats:
-        pred = stats.denormalize_targets(pred)
+    x = _finite_rows(np.array(rows, dtype=float), "feature row")
+    pred = model.forward_batch(stats.normalize_features(x) if stats else x)
+    pred = _finite_rows(stats.denormalize_targets(pred) if stats else pred, "prediction for feature row")
     if args.format == "csv":
         print("x_m,y_m")
         for px, py in pred:

@@ -18,7 +18,7 @@ against central finite differences via gradient_check().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +65,47 @@ def _mse_and_delta(pred, y):
     return loss, 2.0 * diff / diff.size
 
 
+def _dims(arrays, name, ndim):
+    """The shape of arrays[name], which must be there with ndim axes."""
+    if name not in arrays:
+        raise ValueError(f"model array {name!r} is missing")
+    shape = arrays[name].shape
+    if len(shape) != ndim:
+        raise ValueError(f"model array {name!r} must be {ndim}-d, got shape {shape}")
+    return shape
+
+
 class Regressor:
-    """Common interface: forward_batch, loss_and_gradients, params."""
+    """A model is its named float arrays, kept in one store in file order.
+
+    Each family declares its arrays once, in _layout(arrays): the input size,
+    the `arch` block of the model file and the shape of every array, all
+    derived from the shapes of a few of them. The constructor checks the
+    arrays against that layout and for finiteness, naming the bad array.
+    Arrays named in `frozen` are left alone by training.
+    """
 
     family = "base"
-    input_dim = 0
+    frozen: tuple[str, ...] = ()
+
+    def __init__(self, arrays: dict):
+        arrays = {name: np.asarray(a, dtype=float) for name, a in arrays.items()}
+        for name, a in arrays.items():
+            if not np.isfinite(a).all():
+                raise ValueError(f"model array {name!r} has a non-finite entry")
+        self.input_dim, _, shapes = self._layout(arrays)
+        extra = [name for name in arrays if name not in shapes]
+        if extra:
+            raise ValueError(f"unexpected model array {extra[0]!r}")
+        for name, shape in shapes.items():
+            if _dims(arrays, name, len(shape)) != shape:
+                raise ValueError(f"model array {name!r} must have shape {shape}, got {arrays[name].shape}")
+        self.arrays = {name: arrays[name] for name in shapes}
+
+    @property
+    def arch(self) -> dict:
+        """The `arch` block of the model file, derived afresh from the shapes."""
+        return self._layout(self.arrays)[1]
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,8 +116,8 @@ class Regressor:
         raise NotImplementedError
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed by name; SGD updates them in place."""
-        raise NotImplementedError
+        """The trainable arrays of the store; SGD updates them in place."""
+        return {name: a for name, a in self.arrays.items() if name not in self.frozen}
 
     def _check_batch(self, x, y=None):
         x = np.asarray(x, dtype=float)
@@ -98,44 +134,46 @@ class Regressor:
 class MlpModel(Regressor):
     family = "mlp"
 
-    def __init__(self, weights, biases):
-        if not weights:
-            raise ValueError("MLP needs at least one layer")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        self.input_dim = self.weights[0].shape[1]
-        self.hidden = tuple(w.shape[0] for w in self.weights[:-1])
+    @staticmethod
+    def _layout(arrays):
+        """w0, b0, w1, b1, ...: layer l maps widths[l] inputs to widths[l + 1]."""
+        n = sum(name.startswith("w") for name in arrays)
+        widths = [_dims(arrays, "w0", 2)[1]] + [_dims(arrays, f"w{l}", 2)[0] for l in range(n - 1)] + [2]
+        shapes = {}
+        for l in range(n):
+            shapes[f"w{l}"] = (widths[l + 1], widths[l])
+            shapes[f"b{l}"] = (widths[l + 1],)
+        return widths[0], {"hidden": widths[1:-1]}, shapes
+
+    def _layers(self):
+        """The weight and bias lists, bound from the store on each call."""
+        p = list(self.arrays.values())
+        return p[0::2], p[1::2]
 
     def forward_batch(self, x):
         x = self._check_batch(x)
+        weights, biases = self._layers()
         a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in zip(weights[:-1], biases[:-1]):
             a = np.tanh(a @ w.T + b)
-        return a @ self.weights[-1].T + self.biases[-1]
+        return a @ weights[-1].T + biases[-1]
 
     def loss_and_gradients(self, x, y):
+        weights, biases = self._layers()
         acts = [x]
         a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in zip(weights[:-1], biases[:-1]):
             a = np.tanh(a @ w.T + b)
             acts.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
+        out = a @ weights[-1].T + biases[-1]
         loss, delta = _mse_and_delta(out, y)
         grads = {}
-        n_layers = len(self.weights)
-        for l in range(n_layers - 1, -1, -1):
+        for l in range(len(weights) - 1, -1, -1):
             grads[f"w{l}"] = delta.T @ acts[l]
             grads[f"b{l}"] = delta.sum(axis=0)
             if l > 0:
-                delta = (delta @ self.weights[l]) * (1.0 - acts[l] ** 2)
+                delta = (delta @ weights[l]) * (1.0 - acts[l] ** 2)
         return loss, grads
-
-    def params(self):
-        out = {}
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"w{l}"] = w
-            out[f"b{l}"] = b
-        return out
 
 
 def make_mlp(input_dim: int, hidden=(32, 32), seed=0) -> MlpModel:
@@ -147,12 +185,11 @@ def make_mlp(input_dim: int, hidden=(32, 32), seed=0) -> MlpModel:
         raise ValueError("hidden layer widths must be a non-empty positive tuple")
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden, 2]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(_xavier(rng, fan_in, fan_out, (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases)
+    arrays = {}
+    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        arrays[f"w{l}"] = _xavier(rng, fan_in, fan_out, (fan_out, fan_in))
+        arrays[f"b{l}"] = np.zeros(fan_out)
+    return MlpModel(arrays)
 
 
 def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np.ndarray:
@@ -217,20 +254,14 @@ class RbfModel(Regressor):
     """Gaussian RBF network; centers/widths frozen, linear output trainable."""
 
     family = "rbf"
+    frozen = ("centers", "widths")
 
-    def __init__(self, centers, widths, w_out, b_out):
-        self.centers = np.asarray(centers, dtype=float)
-        self.widths = np.asarray(widths, dtype=float)
-        self.w_out = np.asarray(w_out, dtype=float)
-        self.b_out = np.asarray(b_out, dtype=float)
-        if self.centers.ndim != 2:
-            raise ValueError("centers must be 2-d")
-        k = self.centers.shape[0]
-        if self.widths.shape != (k,) or np.any(self.widths <= 0):
-            raise ValueError("need one positive width per center")
-        if self.w_out.shape != (2, k) or self.b_out.shape != (2,):
-            raise ValueError("output layer shape mismatch")
-        self.input_dim = self.centers.shape[1]
+    @staticmethod
+    def _layout(arrays):
+        k, d = _dims(arrays, "centers", 2)
+        if np.any(arrays.get("widths", 1.0) <= 0):
+            raise ValueError("model array 'widths' must be positive")
+        return d, {"k": k}, {"centers": (k, d), "widths": (k,), "w_out": (2, k), "b_out": (2,)}
 
     @classmethod
     def init(cls, data: np.ndarray, k: int = 40, seed=0) -> "RbfModel":
@@ -239,25 +270,21 @@ class RbfModel(Regressor):
         rng = np.random.default_rng([seed, 1])
         k_eff = centers.shape[0]
         w_out = _xavier(rng, k_eff, 2, (2, k_eff))
-        return cls(centers, widths, w_out, np.zeros(2))
+        return cls({"centers": centers, "widths": widths, "w_out": w_out, "b_out": np.zeros(2)})
 
     def _kernels(self, x):
-        d2 = np.sum((x[:, None, :] - self.centers[None, :, :]) ** 2, axis=2)
-        return np.exp(-d2 / (2.0 * self.widths**2))
+        d2 = np.sum((x[:, None, :] - self.arrays["centers"][None, :, :]) ** 2, axis=2)
+        return np.exp(-d2 / (2.0 * self.arrays["widths"] ** 2))
 
     def forward_batch(self, x):
         x = self._check_batch(x)
-        return self._kernels(x) @ self.w_out.T + self.b_out
+        return self._kernels(x) @ self.arrays["w_out"].T + self.arrays["b_out"]
 
     def loss_and_gradients(self, x, y):
         phi = self._kernels(x)
-        out = phi @ self.w_out.T + self.b_out
+        out = phi @ self.arrays["w_out"].T + self.arrays["b_out"]
         loss, delta = _mse_and_delta(out, y)
         return loss, {"w_out": delta.T @ phi, "b_out": delta.sum(axis=0)}
-
-    def params(self):
-        # Centers and widths are deliberately absent: they are frozen.
-        return {"w_out": self.w_out, "b_out": self.b_out}
 
 
 def fit_rbf_output(model: RbfModel, x: np.ndarray, y: np.ndarray, ridge=RIDGE_DEFAULT) -> float:
@@ -267,8 +294,8 @@ def fit_rbf_output(model: RbfModel, x: np.ndarray, y: np.ndarray, ridge=RIDGE_DE
     g = np.column_stack([phi, np.ones(phi.shape[0])])
     gram = g.T @ g + ridge * np.eye(g.shape[1])
     w = np.linalg.solve(gram, g.T @ y)  # (k + 1, 2)
-    model.w_out = w[:-1].T.copy()
-    model.b_out = w[-1].copy()
+    model.arrays["w_out"] = w[:-1].T.copy()
+    model.arrays["b_out"] = w[-1].copy()
     pred = g @ w
     return float(np.mean((pred - y) ** 2))
 
@@ -298,31 +325,29 @@ class CnnModel(Regressor):
 
     family = "cnn"
 
-    def __init__(self, cw0, cb0, cw1, cb1, w0, b0, w1, b1, input_dim):
-        self.cw0 = np.asarray(cw0, dtype=float)
-        self.cb0 = np.asarray(cb0, dtype=float)
-        self.cw1 = np.asarray(cw1, dtype=float)
-        self.cb1 = np.asarray(cb1, dtype=float)
-        self.w0 = np.asarray(w0, dtype=float)
-        self.b0 = np.asarray(b0, dtype=float)
-        self.w1 = np.asarray(w1, dtype=float)
-        self.b1 = np.asarray(b1, dtype=float)
-        self.input_dim = int(input_dim)
-        l2 = self.input_dim - self.cw0.shape[0] - self.cw1.shape[0] + 2
-        if l2 < 1:
-            raise ValueError(f"input length {self.input_dim} too short for the conv stack")
-        flat = l2 * self.cw1.shape[2]
-        if self.w0.shape[1] != flat:
-            raise ValueError(f"dense input size {self.w0.shape[1]} != flattened {flat}")
+    @staticmethod
+    def _layout(arrays):
+        """Two width-kw convolutions with f0 and f1 filters (cw0, cb0, cw1, cb1), then
+        dense layers (w0, b0, w1, b1) on the flattened (l2, f1) output of an l2 + 2 (kw - 1) input."""
+        kw, _, f0 = _dims(arrays, "cw0", 3)
+        f1 = _dims(arrays, "cw1", 3)[2]
+        dense, flat = _dims(arrays, "w0", 2)
+        l2 = flat // f1 if f1 else 0
+        if l2 < 1 or l2 * f1 != flat:
+            raise ValueError(f"model array 'w0' has {flat} inputs, not a positive multiple of {f1} filters")
+        shapes = {"cw0": (kw, 1, f0), "cb0": (f0,), "cw1": (kw, f0, f1), "cb1": (f1,),
+                  "w0": (dense, flat), "b0": (dense,), "w1": (2, dense), "b1": (2,)}
+        return l2 + 2 * (kw - 1), {"kernel_width": kw, "filters": [f0, f1], "dense_width": dense}, shapes
 
     def _forward_cached(self, x):
-        u0, z1 = _conv1d(x[:, :, None], self.cw0, self.cb0)
+        cw0, cb0, cw1, cb1, w0, b0, w1, b1 = self.arrays.values()
+        u0, z1 = _conv1d(x[:, :, None], cw0, cb0)
         a1 = np.tanh(z1)
-        u1, z2 = _conv1d(a1, self.cw1, self.cb1)
+        u1, z2 = _conv1d(a1, cw1, cb1)
         a2 = np.tanh(z2)
         f = a2.reshape(x.shape[0], -1)
-        h1 = f @ self.w0.T + self.b0
-        out = h1 @ self.w1.T + self.b1
+        h1 = f @ w0.T + b0
+        out = h1 @ w1.T + b1
         return u0, a1, u1, a2, f, h1, out
 
     def forward_batch(self, x):
@@ -330,16 +355,17 @@ class CnnModel(Regressor):
         return self._forward_cached(x)[-1]
 
     def loss_and_gradients(self, x, y):
+        cw0, _, cw1, _, w0, _, w1, _ = self.arrays.values()
         u0, a1, u1, a2, f, h1, out = self._forward_cached(x)
         loss, delta = _mse_and_delta(out, y)
-        d_h1 = delta @ self.w1
-        d_f = d_h1 @ self.w0
-        kw1, f0, f1 = self.cw1.shape
+        d_h1 = delta @ w1
+        d_f = d_h1 @ w0
+        kw1, f0, f1 = cw1.shape
         n, l2, _ = a2.shape
         d_z2 = (d_f.reshape(a2.shape) * (1.0 - a2**2)).reshape(-1, f1)
         # The input gradient of a convolution is dZ @ W^T on the unfolded
         # windows, folded back by summing each tap's slice where windows overlap.
-        d_u1 = (d_z2 @ self.cw1.reshape(-1, f1).T).reshape(n, l2, kw1, f0)
+        d_u1 = (d_z2 @ cw1.reshape(-1, f1).T).reshape(n, l2, kw1, f0)
         d_a1 = np.empty_like(a1)
         d_a1[:, :l2, :] = d_u1[:, :, 0, :]
         d_a1[:, l2:, :] = 0.0
@@ -351,24 +377,12 @@ class CnnModel(Regressor):
             "b1": delta.sum(axis=0),
             "w0": d_h1.T @ f,
             "b0": d_h1.sum(axis=0),
-            "cw1": (u1.T @ d_z2).reshape(self.cw1.shape),
+            "cw1": (u1.T @ d_z2).reshape(cw1.shape),
             "cb1": d_z2.sum(axis=0),
-            "cw0": (u0.T @ d_z1).reshape(self.cw0.shape),
+            "cw0": (u0.T @ d_z1).reshape(cw0.shape),
             "cb0": d_z1.sum(axis=0),
         }
         return loss, grads
-
-    def params(self):
-        return {
-            "cw0": self.cw0,
-            "cb0": self.cb0,
-            "cw1": self.cw1,
-            "cb1": self.cb1,
-            "w0": self.w0,
-            "b0": self.b0,
-            "w1": self.w1,
-            "b1": self.b1,
-        }
 
 
 def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, seed=0) -> CnnModel:
@@ -386,7 +400,11 @@ def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, s
     flat = l2 * f1
     w0 = _xavier(rng, flat, dense_width, (dense_width, flat))
     w1 = _xavier(rng, dense_width, 2, (2, dense_width))
-    return CnnModel(cw0, np.zeros(f0), cw1, np.zeros(f1), w0, np.zeros(dense_width), w1, np.zeros(2), input_dim)
+    return CnnModel({"cw0": cw0, "cb0": np.zeros(f0), "cw1": cw1, "cb1": np.zeros(f1),
+                     "w0": w0, "b0": np.zeros(dense_width), "w1": w1, "b1": np.zeros(2)})
+
+
+FAMILIES = {cls.family: cls for cls in (MlpModel, RbfModel, CnnModel)}
 
 
 def train(model: Regressor, x, y, cfg: TrainConfig) -> TrainResult:
@@ -466,8 +484,6 @@ def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
         y = y[None, :] if y.ndim == 1 else y
     x, y = model._check_batch(x, y)
     params = model.params()
-    if not params:
-        raise ValueError("model has no trainable parameters")
     _, grads = model.loss_and_gradients(x, y)
     worst = 0.0
     for name in sorted(params):
@@ -487,74 +503,38 @@ def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
 
 
 def model_to_dict(model: Regressor, norm: dict | None = None) -> dict:
-    """Versioned JSON-ready form: family tag, shapes, flat parameter arrays."""
-    if isinstance(model, MlpModel):
-        arch = {"hidden": list(model.hidden)}
-    elif isinstance(model, RbfModel):
-        arch = {"k": int(model.centers.shape[0])}
-    elif isinstance(model, CnnModel):
-        arch = {
-            "kernel_width": int(model.cw0.shape[0]),
-            "filters": [int(model.cw0.shape[2]), int(model.cw1.shape[2])],
-            "dense_width": int(model.w0.shape[0]),
-        }
-    else:
-        raise ValueError(f"cannot serialize model family {model.family!r}")
-    params = {}
-    if isinstance(model, RbfModel):
-        # centers/widths are frozen structure, but the file must rebuild them
-        items = {"centers": model.centers, "widths": model.widths, **model.params()}
-    else:
-        items = model.params()
-    for name, arr in items.items():
-        params[name] = {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+    """Versioned JSON-ready form: family tag, shapes, the flat arrays of the store."""
     return {
         "format": "locus-model",
         "version": 1,
         "family": model.family,
-        "input_dim": int(model.input_dim),
-        "arch": arch,
-        "params": params,
+        "input_dim": model.input_dim,
+        "arch": model.arch,
+        "params": {
+            name: {"shape": list(a.shape), "data": [float(v) for v in a.reshape(-1)]}
+            for name, a in model.arrays.items()
+        },
         "norm": norm,
     }
 
 
-def _unpack(params, name):
-    entry = params[name]
-    return np.array(entry["data"], dtype=float).reshape(entry["shape"])
-
-
 def model_from_dict(d: dict):
-    """Inverse of model_to_dict; returns (model, norm_or_None)."""
-    if d.get("format") != "locus-model":
+    """Inverse of model_to_dict; returns (model, norm_or_None). A malformed
+    document raises ValueError naming the bad field or array."""
+    if not isinstance(d, dict) or d.get("format") != "locus-model":
         raise ValueError("not a model document")
     if d.get("version") != 1:
         raise ValueError(f"unsupported model version {d.get('version')}")
-    family = d["family"]
-    p = d["params"]
-    if family == "mlp":
-        n_layers = len([k for k in p if k.startswith("w")])
-        weights = [_unpack(p, f"w{l}") for l in range(n_layers)]
-        biases = [_unpack(p, f"b{l}") for l in range(n_layers)]
-        model = MlpModel(weights, biases)
-    elif family == "rbf":
-        model = RbfModel(
-            _unpack(p, "centers"), _unpack(p, "widths"), _unpack(p, "w_out"), _unpack(p, "b_out")
-        )
-    elif family == "cnn":
-        model = CnnModel(
-            _unpack(p, "cw0"),
-            _unpack(p, "cb0"),
-            _unpack(p, "cw1"),
-            _unpack(p, "cb1"),
-            _unpack(p, "w0"),
-            _unpack(p, "b0"),
-            _unpack(p, "w1"),
-            _unpack(p, "b1"),
-            d["input_dim"],
-        )
-    else:
-        raise ValueError(f"unknown model family {family!r}")
-    if model.input_dim != d["input_dim"]:
-        raise ValueError("input_dim does not match the stored parameters")
+    if d.get("family") not in FAMILIES:
+        raise ValueError(f"unknown model family {d.get('family')!r}")
+    arrays = {}
+    for name, entry in d.get("params", {}).items():
+        try:
+            arrays[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"model array {name!r}: its 'data' does not match its 'shape'") from None
+    model = FAMILIES[d["family"]](arrays)
+    for key, derived in (("input_dim", model.input_dim), ("arch", model.arch)):
+        if d.get(key) != derived:
+            raise ValueError(f"model {key} {d.get(key)!r} does not match its arrays, which give {derived!r}")
     return model, d.get("norm")

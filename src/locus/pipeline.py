@@ -34,8 +34,9 @@ from .aoa import estimate_aoa
 from .hybrid import hybrid_position
 from .trilat import rssi_distances, trilaterate
 
-LAYOUTS = ("rssi", "hybrid")
-MODEL_FAMILIES = ("mlp", "rbf", "cnn")
+FEATURE_COLUMNS = {"rssi": 3, "hybrid": 6}
+LAYOUTS = tuple(FEATURE_COLUMNS)
+MODEL_FAMILIES = tuple(neural.FAMILIES)
 REDRAW_CAP = 100
 
 # Keep loss_history.csv bounded: at most about this many rows per run.
@@ -130,7 +131,7 @@ class Dataset:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
-        want = 3 if self.layout == "rssi" else 6
+        want = FEATURE_COLUMNS[self.layout]
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.features.shape[1] != want:
             raise ValueError(f"{self.layout} layout needs {want} feature columns")
@@ -177,16 +178,39 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def dataset_from_dict(d: dict) -> Dataset:
-    if d.get("format") != "locus-dataset" or d.get("version") != 1:
+    """Inverse of dataset_to_dict. A malformed document raises ValueError
+    naming the missing key, or the first sample with a bad row."""
+    if not isinstance(d, dict) or d.get("format") != "locus-dataset" or d.get("version") != 1:
         raise ValueError("not a recognized dataset document")
+    missing = [key for key in ("environment", "layout", "seed", "samples") if key not in d]
+    if missing:
+        raise ValueError(f"dataset file has no {missing[0]!r}")
+    if d["layout"] not in FEATURE_COLUMNS:
+        raise ValueError(f"layout must be one of {LAYOUTS}, got {d['layout']!r}")
     samples = d["samples"]
+    features = np.empty((len(samples), FEATURE_COLUMNS[d["layout"]]))
+    targets = np.empty((len(samples), 2))
+    point_ids = np.empty(len(samples), dtype=int)
+    for i, s in enumerate(samples):
+        pid = s.get("point_id") if isinstance(s, dict) else None
+        if type(pid) is not int or pid < 0:
+            raise ValueError(f"dataset sample {i}: 'point_id' must be a nonnegative integer")
+        point_ids[i] = pid
+        for key, out in (("features", features), ("target", targets)):
+            try:
+                row = np.asarray(s[key], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                row = None
+            if row is None or row.shape != out.shape[1:] or not np.isfinite(row).all():
+                raise ValueError(f"dataset sample {i}: {key!r} must be a list of {out.shape[1]} finite numbers")
+            out[i] = row
     return Dataset(
         env=environment_from_dict(d["environment"]),
         layout=d["layout"],
         seed=int(d["seed"]),
-        features=np.array([s["features"] for s in samples], dtype=float),
-        targets=np.array([s["target"] for s in samples], dtype=float),
-        point_ids=np.array([s["point_id"] for s in samples], dtype=int),
+        features=features,
+        targets=targets,
+        point_ids=point_ids,
         rejects=int(d.get("rejects", 0)),
     )
 
@@ -221,25 +245,21 @@ def generate_dataset(
     measure = _aoa_measurer(rng, env, aoa)
 
     feats_all = []
-    targets_all = []
-    pids_all = []
     rejects = 0
-    for pid, p in enumerate(env.test_points):
+    for p in env.test_points:
         theo = [expected_rssi(params3[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
         if layout == "hybrid":
             theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
         feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, policy)
         rejects += rej
         feats_all.append(feats)
-        targets_all.append(np.tile([p.x, p.y], (n_per_point, 1)))
-        pids_all.append(np.full(n_per_point, pid))
     return Dataset(
         env=env,
         layout=layout,
         seed=int(seed),
         features=np.vstack(feats_all),
-        targets=np.vstack(targets_all),
-        point_ids=np.concatenate(pids_all),
+        targets=np.repeat([[p.x, p.y] for p in env.test_points], n_per_point, axis=0),
+        point_ids=np.repeat(np.arange(len(env.test_points)), n_per_point),
         rejects=rejects,
     )
 
@@ -306,8 +326,7 @@ def split(ds: Dataset, train_fraction: float, seed: int = 0):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
+    train_idx, test_idx = [], []
     for pid in np.unique(ds.point_ids):
         idx = np.where(ds.point_ids == pid)[0]
         n_train = int(round(train_fraction * idx.size))
@@ -368,13 +387,16 @@ class NormStats:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            feature_min=np.array(d["feature_min"], dtype=float),
-            feature_max=np.array(d["feature_max"], dtype=float),
-            target_min=np.array(d["target_min"], dtype=float),
-            target_max=np.array(d["target_max"], dtype=float),
-        )
+    def from_dict(cls, d: dict, input_dim: int) -> "NormStats":
+        """Inverse of to_dict for input_dim features; a missing, mis-sized or
+        non-finite range raises ValueError naming it."""
+        ranges = {}
+        for key in ("feature_min", "feature_max", "target_min", "target_max"):
+            ranges[key] = np.array(d.get(key), dtype=float)
+            size = input_dim if key.startswith("feature") else 2
+            if ranges[key].shape != (size,) or not np.isfinite(ranges[key]).all():
+                raise ValueError(f"norm {key!r} must be a list of {size} finite numbers")
+        return cls(**ranges)
 
 
 @dataclass(frozen=True)
@@ -406,9 +428,7 @@ def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
     xn = stats.normalize_features(test_ds.features)
     pred = stats.denormalize_targets(model.forward_batch(xn))
     err_mm = 1000.0 * np.linalg.norm(pred - test_ds.targets, axis=1)
-    per_point = {}
-    for pid in np.unique(test_ds.point_ids):
-        per_point[int(pid)] = float(err_mm[test_ds.point_ids == pid].mean())
+    per_point = {int(pid): float(err_mm[test_ds.point_ids == pid].mean()) for pid in np.unique(test_ds.point_ids)}
     return EvalReport(
         model_family=getattr(model, "family", "custom"),
         environment=test_ds.env.name,
@@ -419,22 +439,17 @@ def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
     )
 
 
-def improvement_percent(rssi_report: EvalReport, hybrid_report: EvalReport) -> float:
+def improvement_percent(rssi_mae_mm: float, hybrid_mae_mm: float) -> float:
     """Relative MAE gain of the hybrid layout over the rssi layout, percent."""
-    if rssi_report.layout != "rssi" or hybrid_report.layout != "hybrid":
-        raise ValueError("pass (rssi layout report, hybrid layout report)")
-    if rssi_report.overall_mae_mm <= 0:
-        raise ValueError("rssi-layout MAE must be positive")
-    return 100.0 * (rssi_report.overall_mae_mm - hybrid_report.overall_mae_mm) / rssi_report.overall_mae_mm
+    if not rssi_mae_mm > 0:
+        raise ValueError(f"rssi-layout MAE must be positive, got {rssi_mae_mm}")
+    return 100.0 * (rssi_mae_mm - hybrid_mae_mm) / rssi_mae_mm
 
 
 def _baseline_mae_mm(test_ds: Dataset, locate) -> float:
     """Mean error (mm) of locate(feature row) -> PositionEstimate over a test split."""
-    errs = []
-    for row, (tx, ty) in zip(test_ds.features, test_ds.targets):
-        est = locate(row)
-        errs.append(math.hypot(est.p.x - tx, est.p.y - ty))
-    return 1000.0 * float(np.mean(errs))
+    ests = [locate(row).p for row in test_ds.features]
+    return 1000.0 * float(np.mean([math.hypot(e.x - tx, e.y - ty) for e, (tx, ty) in zip(ests, test_ds.targets)]))
 
 
 def trilat_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
@@ -722,13 +737,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         mae_table[name] = row
     improvement = {}
     if "rssi" in config.layouts and "hybrid" in config.layouts:
-        for name in env_names:
-            row = {}
-            for family in config.models:
-                a = mae_table[name][f"{family}_rssi"]
-                b = mae_table[name][f"{family}_hybrid"]
-                row[family] = 100.0 * (a - b) / a
-            improvement[name] = row
+        for name, row in mae_table.items():
+            improvement[name] = {
+                m: improvement_percent(row[f"{m}_rssi"], row[f"{m}_hybrid"]) for m in config.models
+            }
     baseline_table = {
         name: {
             "trilat": float(np.mean([b["trilat"] for b in baselines if b["environment"] == name])),

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import re
@@ -7,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from locus import pipeline
+from locus import cli, pipeline
 from locus.channel import PathLossParams, expected_rssi
 from locus.cli import main
 from locus.environment import Point2D, make_environment, true_aoa, true_distance
@@ -397,6 +400,145 @@ def test_report_bad_locus_threads_exits_1(capsys, tmp_path, monkeypatch, value):
     assert code == 1
     assert "LOCUS_THREADS" in err and repr(value) in err
     assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed model and dataset files fail by name
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A hybrid dataset (3 points x 10 samples) and an MLP trained on it."""
+    tmp = tmp_path_factory.mktemp("good")
+    ds_path, model_path = tmp / "ds.json", tmp / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "dataset", "--config", _config_file(tmp), "--env-name", "roomA",
+                     "--n-per-point", "10", "--seed", "3", "--out", str(ds_path)]) == 0
+        assert main(["train", "--data", str(ds_path), "--model", "mlp", "--out", str(model_path),
+                     "--epochs", "1", "--batch-size", "16"]) == 0
+    return json.loads(ds_path.read_text()), json.loads(model_path.read_text())
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    """Set, or with _DELETE remove, the entry at path in a JSON document."""
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+# (case, path into the model file, new value, words the error must name)
+BAD_MODELS = [
+    ("nan_weight", ("params", "w1", "data", 5), float("nan"), ["'w1'", "non-finite"]),
+    ("inf_bias", ("params", "b0", "data", 0), float("inf"), ["'b0'", "non-finite"]),
+    ("short_data", ("params", "w2", "data", 0), _DELETE, ["'w2'", "'data'", "'shape'"]),
+    ("reshaped", ("params", "w1", "shape"), [16, 64], ["'w1'", "(16, 32)", "(16, 64)"]),
+    ("missing_array", ("params", "b1"), _DELETE, ["'b1'", "missing"]),
+    ("unexpected_array", ("params", "bias"), {"shape": [2], "data": [0.0, 0.0]}, ["'bias'", "unexpected"]),
+    ("input_dim", ("input_dim",), 5, ["input_dim 5", "6"]),
+    ("arch", ("arch", "hidden"), [32, 16], ["arch", "[32, 32]"]),
+    ("nan_norm", ("norm", "feature_min", 2), float("nan"), ["'feature_min'", "finite"]),
+    ("short_norm", ("norm", "feature_min", 5), _DELETE, ["'feature_min'", "6 finite"]),
+    ("long_target_norm", ("norm", "target_max"), [9.0, 9.0, 9.0], ["'target_max'", "2 finite"]),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("case,path,value,words", BAD_MODELS, ids=[c[0] for c in BAD_MODELS])
+def test_bad_model_file_exits_2_naming_the_field(capsys, tmp_path, good_files, command, case, path, value, words):
+    ds_doc, model_doc = copy.deepcopy(good_files)
+    _set(model_doc, path, value)
+    (tmp_path / "model.json").write_text(json.dumps(model_doc))
+    (tmp_path / "ds.json").write_text(json.dumps(ds_doc))
+    features = ",".join(str(v) for v in ds_doc["samples"][0]["features"])
+    if command == "predict":
+        argv = ["predict", "--features=" + features]
+    else:
+        argv = ["eval", "--data", str(tmp_path / "ds.json")]
+    code, out, err = _run(capsys, [*argv, "--model", str(tmp_path / "model.json")])
+    assert code == 2
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+
+
+# (case, path into the dataset file, new value, words the error must name)
+BAD_DATASETS = [
+    ("missing_samples", ("samples",), _DELETE, ["no 'samples'"]),
+    ("missing_environment", ("environment",), _DELETE, ["no 'environment'"]),
+    ("ragged_features", ("samples", 3, "features", 5), _DELETE, ["sample 3", "'features'", "6"]),
+    ("nan_feature", ("samples", 4, "features", 2), float("nan"), ["sample 4", "'features'", "finite"]),
+    ("inf_target", ("samples", 7, "target", 1), float("inf"), ["sample 7", "'target'", "finite"]),
+    ("text_feature", ("samples", 2, "features", 0), "loud", ["sample 2", "'features'"]),
+    ("missing_point_id", ("samples", 3, "point_id"), _DELETE, ["sample 3", "'point_id'"]),
+    ("negative_point_id", ("samples", 5, "point_id"), -1, ["sample 5", "'point_id'", "nonnegative"]),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case,path,value,words", BAD_DATASETS, ids=[c[0] for c in BAD_DATASETS])
+def test_bad_dataset_file_exits_2_naming_the_field(capsys, tmp_path, good_files, command, case, path, value, words):
+    ds_doc, model_doc = copy.deepcopy(good_files)
+    _set(ds_doc, path, value)
+    (tmp_path / "model.json").write_text(json.dumps(model_doc))
+    (tmp_path / "ds.json").write_text(json.dumps(ds_doc))
+    if command == "train":
+        argv = ["train", "--model", "mlp", "--epochs", "1", "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["eval", "--model", str(tmp_path / "model.json")]
+    code, out, err = _run(capsys, [*argv, "--data", str(tmp_path / "ds.json")])
+    assert code == 2
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_predict_rejects_non_finite_feature_rows(capsys, tmp_path, good_files, fmt):
+    _, model_doc = good_files
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_doc))
+    good = "-50,-60,-55,10,20,30"
+    for bad in ("nan,-60,-55,10,20,30", "-50,-60,-55,10,inf,30"):
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path), "--format", fmt,
+                                       f"--features={good};{bad}"])
+        assert code == 2
+        assert out == ""
+        assert "feature row 2 is not finite" in err and "prediction" not in err
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(f"{bad}\n{good}\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path), "--format", fmt,
+                                       "--input", str(csv_path)])
+        assert code == 2
+        assert out == ""
+        assert "feature row 1 is not finite" in err and "prediction" not in err
+
+
+def test_predict_rejects_a_prediction_that_overflows(capsys, tmp_path, good_files):
+    # Every entry of the file is finite, but the x target span overflows to inf.
+    _, model_doc = copy.deepcopy(good_files)
+    model_doc["norm"]["target_min"][0], model_doc["norm"]["target_max"][0] = -1e308, 1e308
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--features=-50,-60,-55,10,20,30"])
+    assert code == 2
+    assert out == ""
+    assert "prediction for feature row 1 is not finite" in err
+
+
+def test_print_json_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._print_json({"overall_mae_mm": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -86,10 +87,10 @@ def test_cnn_needs_min_input_length():
 def test_mlp_forward_hand_computed():
     """1-hidden-unit network evaluated by hand."""
     m = make_mlp(2, hidden=(1,), seed=0)
-    m.weights[0][:] = np.array([[0.5, -1.0]])
-    m.biases[0][:] = np.array([0.25])
-    m.weights[1][:] = np.array([[2.0], [-3.0]])
-    m.biases[1][:] = np.array([0.1, -0.2])
+    m.arrays["w0"][:] = np.array([[0.5, -1.0]])
+    m.arrays["b0"][:] = np.array([0.25])
+    m.arrays["w1"][:] = np.array([[2.0], [-3.0]])
+    m.arrays["b1"][:] = np.array([0.1, -0.2])
     x = np.array([[1.0, 0.5]])
     h = math.tanh(0.5 * 1.0 - 1.0 * 0.5 + 0.25)
     expect = np.array([2.0 * h + 0.1, -3.0 * h - 0.2])
@@ -118,12 +119,12 @@ def test_conv1d_matches_loop_oracle():
 
 def test_rbf_kernel_values():
     """Gaussian activations computed by hand for fixed centers."""
-    model = RbfModel(
-        centers=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        widths=np.array([1.0, 0.5]),
-        w_out=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        b_out=np.zeros(2),
-    )
+    model = RbfModel({
+        "centers": np.array([[0.0, 0.0], [1.0, 0.0]]),
+        "widths": np.array([1.0, 0.5]),
+        "w_out": np.array([[1.0, 0.0], [0.0, 1.0]]),
+        "b_out": np.zeros(2),
+    })
     x = np.array([[0.0, 0.0]])
     phi0 = 1.0  # at its own center
     phi1 = math.exp(-1.0 / (2 * 0.25))
@@ -233,14 +234,14 @@ def test_fit_rbf_output_matches_lstsq_oracle():
     model = RbfModel.init(x, k=10, seed=1)
     fit_rbf_output(model, x, y, ridge=1e-6)
     # independent route: kernels by hand, ridge as augmented least squares
-    d2 = np.sum((x[:, None, :] - model.centers[None, :, :]) ** 2, axis=2)
-    phi = np.exp(-d2 / (2.0 * model.widths**2))
+    d2 = np.sum((x[:, None, :] - model.arrays["centers"][None, :, :]) ** 2, axis=2)
+    phi = np.exp(-d2 / (2.0 * model.arrays["widths"] ** 2))
     g = np.column_stack([phi, np.ones(len(x))])
     aug_a = np.vstack([g, math.sqrt(1e-6) * np.eye(11)])
     aug_b = np.vstack([y, np.zeros((11, 2))])
     coef = np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]
-    assert np.allclose(model.w_out, coef[:10].T, atol=1e-8)
-    assert np.allclose(model.b_out, coef[10], atol=1e-8)
+    assert np.allclose(model.arrays["w_out"], coef[:10].T, atol=1e-8)
+    assert np.allclose(model.arrays["b_out"], coef[10], atol=1e-8)
 
 
 def test_fit_rbf_output_reduces_loss():
@@ -285,26 +286,27 @@ def _cnn_stacked_einsum(m, x, y):
             out += a[:, k : k + lout, :] @ w[k]
         return out + b
 
+    p = m.arrays
     h = x[:, :, None]
-    a1 = np.tanh(conv(h, m.cw0, m.cb0))
-    a2 = np.tanh(conv(a1, m.cw1, m.cb1))
+    a1 = np.tanh(conv(h, p["cw0"], p["cb0"]))
+    a2 = np.tanh(conv(a1, p["cw1"], p["cb1"]))
     l1, l2 = a1.shape[1], a2.shape[1]
     f = a2.reshape(x.shape[0], -1)
-    h1 = f @ m.w0.T + m.b0
-    out = h1 @ m.w1.T + m.b1
+    h1 = f @ p["w0"].T + p["b0"]
+    out = h1 @ p["w1"].T + p["b1"]
     diff = out - y
     delta = 2.0 * diff / diff.size
     g = {"w1": delta.T @ h1, "b1": delta.sum(axis=0)}
-    d_h1 = delta @ m.w1
+    d_h1 = delta @ p["w1"]
     g["w0"] = d_h1.T @ f
     g["b0"] = d_h1.sum(axis=0)
-    d_z2 = (d_h1 @ m.w0).reshape(a2.shape) * (1.0 - a2**2)
-    kw1, kw0 = m.cw1.shape[0], m.cw0.shape[0]
+    d_z2 = (d_h1 @ p["w0"]).reshape(a2.shape) * (1.0 - a2**2)
+    kw1, kw0 = p["cw1"].shape[0], p["cw0"].shape[0]
     g["cw1"] = np.stack([np.einsum("ntc,nto->co", a1[:, k : k + l2, :], d_z2) for k in range(kw1)])
     g["cb1"] = d_z2.sum(axis=(0, 1))
     d_a1 = np.zeros_like(a1)
     for k in range(kw1):
-        d_a1[:, k : k + l2, :] += d_z2 @ m.cw1[k].T
+        d_a1[:, k : k + l2, :] += d_z2 @ p["cw1"][k].T
     d_z1 = d_a1 * (1.0 - a1**2)
     g["cw0"] = np.stack([np.einsum("ntc,nto->co", h[:, k : k + l1, :], d_z1) for k in range(kw0)])
     g["cb0"] = d_z1.sum(axis=(0, 1))
@@ -329,8 +331,8 @@ def test_cnn_im2col_gradients_match_stacked_einsum(extra, n, kernel_width, filte
     x = rng.standard_normal((n, d))
     y = rng.standard_normal((n, 2))
     m = make_cnn(d, filters=filters, kernel_width=kernel_width, dense_width=dense_width, seed=seed)
-    for p in (m.cb0, m.cb1, m.b0, m.b1):
-        p[:] = rng.standard_normal(p.shape)  # nonzero biases reach every term
+    for name in ("cb0", "cb1", "b0", "b1"):
+        m.arrays[name][:] = rng.standard_normal(m.arrays[name].shape)  # nonzero biases reach every term
     loss, grads = m.loss_and_gradients(x, y)
     ref_loss, ref = _cnn_stacked_einsum(m, x, y)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
@@ -449,14 +451,14 @@ def test_train_stops_at_first_non_finite_loss(family):
 def test_build_and_fit_recipes():
     """Each family's architecture and fit recipe as the sweep and the CLI use them."""
     x, y = _data(7, 6, seed=12)
-    assert neural.build("mlp", x, seed=0, rbf_centers=40).hidden == (32, 32)
-    assert neural.build("cnn", x, seed=0, rbf_centers=40).w0.shape[0] == 32
+    assert neural.build("mlp", x, seed=0, rbf_centers=40).arch["hidden"] == [32, 32]
+    assert neural.build("cnn", x, seed=0, rbf_centers=40).arrays["w0"].shape[0] == 32
     rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
-    assert rbf.centers.shape == (7, 6)  # k = min(centers, n)
-    ref = RbfModel(rbf.centers, rbf.widths, rbf.w_out, rbf.b_out)
+    assert rbf.arrays["centers"].shape == (7, 6)  # k = min(centers, n)
+    ref = RbfModel(rbf.arrays)
     history = neural.fit(rbf, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0, ridge=1e-3)
     assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
-    assert np.array_equal(rbf.w_out, ref.w_out)
+    assert np.array_equal(rbf.arrays["w_out"], ref.arrays["w_out"])
     mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
     history = neural.fit(mlp, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0)
     assert history.size == 3 * math.ceil(7 / 2)
@@ -490,3 +492,87 @@ def test_model_dict_roundtrip(family):
 def test_model_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         model_from_dict({"format": "other"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["mlp", "rbf", "cnn"]),
+    extra=st.integers(0, 4),
+    hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    kernel_width=st.integers(1, 3),
+    filters=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    dense_width=st.integers(1, 9),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_model_file_round_trip_is_exact(family, extra, hidden, kernel_width, filters, dense_width, k, seed):
+    """model_to_dict -> JSON text -> model_from_dict keeps every bit."""
+    d = 2 * (kernel_width - 1) + 1 + extra
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((12, d)), rng.standard_normal((12, 2))
+    if family == "mlp":
+        m = make_mlp(d, hidden=tuple(hidden), seed=seed)
+    elif family == "cnn":
+        m = make_cnn(d, filters=filters, kernel_width=kernel_width, dense_width=dense_width, seed=seed)
+    else:
+        m = RbfModel.init(x, k=k, seed=seed)
+        fit_rbf_output(m, x, y)
+    text = json.dumps(model_to_dict(m, norm=None))
+    m2, norm = model_from_dict(json.loads(text))
+    assert type(m2) is type(m) and norm is None
+    assert list(m2.arrays) == list(m.arrays)
+    for name, a in m.arrays.items():
+        assert np.array_equal(m2.arrays[name], a), name
+    assert m2.forward_batch(x).tobytes() == m.forward_batch(x).tobytes()
+    assert json.dumps(model_to_dict(m2, norm=None)) == text
+
+
+def test_model_file_layout_is_pinned():
+    """The key order and arch block of the file, as every version-1 model file has them."""
+    rbf = RbfModel({"centers": [[0.0, 1.0]], "widths": [0.5], "w_out": [[1.0], [2.0]], "b_out": [3.0, 4.0]})
+    assert json.dumps(model_to_dict(rbf, norm={"n": 1})) == (
+        '{"format": "locus-model", "version": 1, "family": "rbf", "input_dim": 2, "arch": {"k": 1}, '
+        '"params": {"centers": {"shape": [1, 2], "data": [0.0, 1.0]}, "widths": {"shape": [1], "data": [0.5]}, '
+        '"w_out": {"shape": [2, 1], "data": [1.0, 2.0]}, "b_out": {"shape": [2], "data": [3.0, 4.0]}}, '
+        '"norm": {"n": 1}}'
+    )
+    mlp = model_to_dict(make_mlp(3, hidden=(5, 4), seed=0))
+    assert list(mlp) == ["format", "version", "family", "input_dim", "arch", "params", "norm"]
+    assert list(mlp["params"]) == ["w0", "b0", "w1", "b1", "w2", "b2"]
+    assert mlp["arch"] == {"hidden": [5, 4]} and mlp["input_dim"] == 3
+    cnn = model_to_dict(make_cnn(7, filters=(3, 4), kernel_width=3, dense_width=5, seed=0))
+    assert list(cnn["params"]) == ["cw0", "cb0", "cw1", "cb1", "w0", "b0", "w1", "b1"]
+    assert cnn["arch"] == {"kernel_width": 3, "filters": [3, 4], "dense_width": 5}
+    assert cnn["input_dim"] == 7 and cnn["params"]["w0"]["shape"] == [5, 12]
+
+
+def test_model_arrays_are_read_in_file_order_whatever_the_dict_order():
+    m = make_cnn(6, seed=3)
+    d = model_to_dict(m)
+    d["params"] = dict(reversed(list(d["params"].items())))
+    m2, _ = model_from_dict(json.loads(json.dumps(d)))
+    assert list(m2.arrays) == list(m.arrays)
+    x = np.random.default_rng(0).standard_normal((5, 6))
+    assert m2.forward_batch(x).tobytes() == m.forward_batch(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family,arrays,words",
+    [
+        ("mlp", {"w0": np.ones((4, 3)), "b0": np.ones(4), "w1": np.ones((2, 5)), "b1": np.ones(2)},
+         ["'w1'", "(2, 4)"]),
+        ("mlp", {"w0": np.ones(3), "b0": np.ones(2)}, ["'w0'", "2-d"]),
+        ("rbf", {"centers": np.ones((3, 2)), "widths": [1.0, 0.0, 1.0], "w_out": np.ones((2, 3)),
+                 "b_out": np.ones(2)}, ["'widths'", "positive"]),
+        ("rbf", {"centers": np.ones((3, 2)), "widths": np.ones(3), "w_out": np.ones((2, 3))},
+         ["'b_out'", "missing"]),
+        ("cnn", {**make_cnn(6, seed=0).arrays, "w0": np.ones((32, 60))}, ["'w0'", "60", "16"]),
+        ("cnn", {**make_cnn(6, seed=0).arrays, "cw1": np.ones((3, 16, 16))}, ["'cw1'", "(2, 16, 16)"]),
+        ("cnn", {**make_cnn(6, seed=0).arrays, "b1": [0.0, np.nan]}, ["'b1'", "non-finite"]),
+    ],
+)
+def test_constructor_names_the_bad_array(family, arrays, words):
+    with pytest.raises(ValueError) as e:
+        neural.FAMILIES[family](arrays)
+    for word in words:
+        assert word in str(e.value), (word, str(e.value))

@@ -289,7 +289,7 @@ def test_norm_stats_dict_roundtrip():
     env = _tiny_env()
     ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="rssi", seed=0)
     stats = NormStats.fit(ds)
-    back = NormStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+    back = NormStats.from_dict(json.loads(json.dumps(stats.to_dict())), 3)
     assert np.array_equal(back.feature_min, stats.feature_min)
     assert np.array_equal(back.target_max, stats.target_max)
 
@@ -358,9 +358,10 @@ def test_improvement_percent():
     b = _FixedOffsetModel(NormStats.fit(dsh), 0.1)
     b.prime(dsh.targets)
     rep_h = evaluate_mae(b, dsh, NormStats.fit(dsh))
-    assert improvement_percent(rep_rssi, rep_h) == pytest.approx(75.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        improvement_percent(rep_h, rep_rssi)
+    assert improvement_percent(rep_rssi.overall_mae_mm, rep_h.overall_mae_mm) == pytest.approx(75.0, abs=1e-9)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="rssi-layout MAE must be positive"):
+            improvement_percent(bad, rep_h.overall_mae_mm)
 
 
 def test_baselines_zero_noise_are_exact():
