@@ -17,6 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_bound(obj, bound, *names: str, strict: bool = False) -> None:
+    """ValueError naming the first of obj's fields `names` that is NaN or below
+    bound, or equal to it when strict."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > bound if strict else value >= bound):
+            raise ValueError(f"{name} must be {'above' if strict else 'at least'} {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     """Log-distance path loss parameters.
@@ -33,12 +42,8 @@ class PathLossParams:
     d0: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not self.d0 > 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
+        check_bound(self, 0, "gamma", "d0", strict=True)
+        check_bound(self, 0, "sigma")
         for v in (self.gamma, self.sigma, self.p_r_d0, self.d0):
             if not math.isfinite(v):
                 raise ValueError("path loss parameters must be finite")
@@ -53,12 +58,9 @@ class ArraySpec:
     snapshots: int = 256
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 sensors, got {self.m}")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("sensor spacing must be positive")
-        if self.snapshots < 1:
-            raise ValueError("need at least 1 snapshot")
+        check_bound(self, 2, "m")
+        check_bound(self, 1, "snapshots")
+        check_bound(self, 0, "spacing_wavelengths", strict=True)
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,7 @@ class NlosModel:
     aoa_bias_deg_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.excess_loss_db < 0 or self.aoa_bias_deg_sigma < 0:
-            raise ValueError("NLoS parameters must be nonnegative")
+        check_bound(self, 0, "excess_loss_db", "aoa_bias_deg_sigma")
 
 
 def per_anchor_params(params) -> list[PathLossParams]:
@@ -112,20 +113,6 @@ def per_anchor_params(params) -> list[PathLossParams]:
     if len(params) != 3:
         raise ValueError("need one path loss parameter set per anchor")
     return params
-
-
-def path_loss_from_dict(doc) -> tuple[PathLossParams, PathLossParams, PathLossParams]:
-    """Per-anchor parameters from a path-loss document: one object
-    {gamma, sigma, p_r_d0[, d0]} shared by all anchors, or a list of three."""
-
-    def one(d):
-        return PathLossParams(float(d["gamma"]), float(d["sigma"]), float(d["p_r_d0"]), float(d.get("d0", 1.0)))
-
-    if not isinstance(doc, list):
-        return (one(doc),) * 3
-    if len(doc) != 3:
-        raise ValueError(f"a path loss list needs 3 entries, one per anchor, got {len(doc)}")
-    return tuple(one(d) for d in doc)
 
 
 def db_to_power(db: float) -> float:
@@ -168,9 +155,11 @@ def simulate_snapshots(
     """Simulate T narrowband snapshots of K sources plus white noise.
 
     Each source emits an independent complex Gaussian symbol per snapshot at
-    its configured power. noise_power_db = -inf gives noiseless data.
-    Requires 1 <= K < m.
+    its configured power. noise_power_db = -inf gives noiseless data; NaN
+    is refused. Requires 1 <= K < m.
     """
+    if math.isnan(noise_power_db):
+        raise ValueError("noise_power_db must be a number or -inf, got nan")
     k = len(sources)
     if k < 1 or k >= array.m:
         raise ValueError(f"need 1 <= sources < {array.m} sensors, got {k}")
@@ -202,7 +191,7 @@ def snapshots_to_csv(snap: SnapshotMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshots_from_csv(text: str, spacing_wavelengths: float = 0.5) -> SnapshotMatrix:
+def snapshots_from_csv(text: str, spacing_wavelengths: float) -> SnapshotMatrix:
     """Parse the snapshots_to_csv format. Spacing is not stored in the CSV."""
     rows = []
     for line in text.strip().splitlines():

@@ -11,32 +11,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import neural
 from .aoa import angle_grid, correlation_matrix, eigendecompose, estimate_aoa, noise_subspace, spatial_spectrum
-from .channel import (
-    ArraySpec,
-    PathLossParams,
-    SourceSpec,
-    path_loss_from_dict,
-    simulate_rssi,
-    simulate_snapshots,
-    snapshots_from_csv,
-    snapshots_to_csv,
-)
+from .channel import ArraySpec, PathLossParams, SourceSpec, simulate_rssi, simulate_snapshots, snapshots_from_csv, snapshots_to_csv
 from .environment import STANDARD_ROOMS, load_environment, make_environment
 from .hybrid import hybrid_position
 from .pipeline import (
+    ExperimentConfig,
+    MusicSpec,
     NormStats,
     UsageError,
     _round6,
     dataset_from_dict,
     dataset_to_dict,
     evaluate_mae,
-    generate_dataset,
     load_config,
+    path_loss_from_dict,
     run_experiment,
     split,
 )
@@ -95,16 +89,7 @@ def _cmd_fit(args):
     with open(args.input) as f:
         samples = read_fit_samples_csv(f.read())
     result = fit_path_loss(samples, d0=args.d0)
-    _print_json(
-        {
-            "gamma": result.params.gamma,
-            "sigma": result.params.sigma,
-            "p_r_d0": result.params.p_r_d0,
-            "d0": result.params.d0,
-            "residual_rms": result.residual_rms,
-            "n_samples": result.n_samples,
-        }
-    )
+    _print_json({**asdict(result.params), "residual_rms": result.residual_rms, "n_samples": result.n_samples})
     return 0
 
 
@@ -143,17 +128,9 @@ def _cmd_simulate_dataset(args):
     by_name = {spec.env.name: spec for spec in config.envs}
     if args.env_name not in by_name:
         raise ValueError(f"environment {args.env_name!r} not in config ({sorted(by_name)})")
-    spec = by_name[args.env_name]
-    ds = generate_dataset(
-        spec.env,
-        list(spec.params),
-        spec.nlos,
-        args.n_per_point or config.n_per_point,
-        layout=args.layout,
-        outlier=config.outlier_policy(spec),
-        seed=args.seed,
-        aoa=config.aoa,
-    )
+    if args.n_per_point:
+        config = replace(config, n_per_point=args.n_per_point)
+    ds = config.dataset(by_name[args.env_name], args.seed, args.layout)
     _write_json(args.out, dataset_to_dict(ds))
     print(f"wrote {args.out} ({ds.n} samples, {ds.rejects} redraws)")
     return 0
@@ -202,9 +179,8 @@ def _cmd_train(args):
     xn = stats.normalize_features(train_ds.features)
     yn = stats.normalize_targets(train_ds.targets)
     model = neural.build(args.model, xn, args.seed, args.rbf_centers)
-    history = neural.fit(
-        model, xn, yn, args.epochs, args.batch_size, args.learning_rate, args.seed, ridge=args.ridge
-    )
+    spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
+    history = neural.fit(model, xn, yn, spec, args.seed, ridge=args.ridge)
     doc = neural.model_to_dict(model, norm=stats.to_dict())
     doc["split"] = {"train_fraction": args.train_fraction, "seed": args.split_seed}
     _write_json(args.out, doc)
@@ -287,14 +263,8 @@ def _cmd_eval(args):
 def _cmd_report(args):
     config = load_config(args.config)
     report = run_experiment(config, out_dir=args.out)
-    summary = {
-        "out_dir": args.out,
-        "mae_table_mm": report["mae_table_mm"],
-        "improvement_percent": report["improvement_percent"],
-        "baseline_mae_mm": report["baseline_mae_mm"],
-        "total_rejects": report["total_rejects"],
-    }
-    _print_json(summary)
+    keys = ("mae_table_mm", "improvement_percent", "baseline_mae_mm", "total_rejects")
+    _print_json({"out_dir": args.out, **{key: report[key] for key in keys}})
     return 0
 
 
@@ -308,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit path loss parameters from distance,rssi CSV")
     p.add_argument("--input", required=True, help="CSV file with distance_m,rssi_dbm rows")
-    p.add_argument("--d0", type=float, default=1.0)
+    p.add_argument("--d0", type=float, default=PathLossParams.d0)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("simulate", help="generate synthetic measurements")
@@ -318,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--gamma", type=float, required=True)
     q.add_argument("--sigma", type=float, default=0.0)
     q.add_argument("--p-r-d0", type=float, required=True)
-    q.add_argument("--d0", type=float, default=1.0)
+    q.add_argument("--d0", type=float, default=PathLossParams.d0)
     q.add_argument("--distances", required=True, help="comma separated distances in meters")
     q.add_argument("--n", type=int, default=1, help="draws per distance")
     q.add_argument("--seed", type=int, default=0)
@@ -326,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_simulate_rssi)
 
     q = sim.add_parser("snapshots", help="simulate array snapshots for given source angles")
-    q.add_argument("--m", type=int, default=8, help="sensor count")
-    q.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
-    q.add_argument("--snapshots", type=int, default=256)
+    q.add_argument("--m", type=int, default=ArraySpec.m, help="sensor count")
+    q.add_argument("--spacing", type=float, default=ArraySpec.spacing_wavelengths, help="element spacing in wavelengths")
+    q.add_argument("--snapshots", type=int, default=ArraySpec.snapshots)
     q.add_argument("--angles", required=True, help="comma separated source angles in degrees")
-    q.add_argument("--snr-db", type=float, default=20.0)
+    q.add_argument("--snr-db", type=float, default=MusicSpec.snr_db)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", help="write CSV here instead of stdout")
     q.set_defaults(func=_cmd_simulate_snapshots)
@@ -352,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--p-r-d0", type=float)
-    p.add_argument("--d0", type=float, default=1.0)
+    p.add_argument("--d0", type=float, default=PathLossParams.d0)
     p.add_argument("--rssi", required=True, help="three comma separated RSSI values")
     p.add_argument("--aoa", help="three comma separated angles (hybrid method)")
     p.set_defaults(func=_cmd_locate)
@@ -360,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aoa", help="estimate source angles from a snapshot CSV")
     p.add_argument("--input", required=True, help="snapshot CSV (see simulate snapshots)")
     p.add_argument("--k", type=int, default=1, help="source count")
-    p.add_argument("--spacing", type=float, default=0.5)
+    p.add_argument("--spacing", type=float, default=ArraySpec.spacing_wavelengths)
+    # Finer than the sweep's music.grid_step_deg: one estimate, not one per sample.
     p.add_argument("--grid-step", type=float, default=0.1)
     p.add_argument("--spectrum", help="also write the angle,power scan to this CSV")
     p.set_defaults(func=_cmd_aoa)
@@ -369,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset JSON from simulate dataset")
     p.add_argument("--model", choices=["mlp", "rbf", "cnn"], required=True)
     p.add_argument("--out", required=True, help="model JSON output path")
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--learning-rate", type=float, default=neural.TrainSpec.learning_rate)
+    p.add_argument("--batch-size", type=int, default=neural.TrainSpec.batch_size)
+    p.add_argument("--epochs", type=int, default=neural.TrainSpec.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--rbf-centers", type=int, default=40)
+    p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
+    p.add_argument("--rbf-centers", type=int, default=ExperimentConfig.rbf_centers)
     p.add_argument("--ridge", type=float, default=neural.RIDGE_DEFAULT)
     p.set_defaults(func=_cmd_train)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_bound
+
 # Default sign frames per anchor id. Anchor 1 adds both offsets, anchor 2
 # flips the y offset, anchor 3 flips both.
 DEFAULT_FRAMES = {1: (1, 1), 2: (1, -1), 3: (-1, -1)}
@@ -81,8 +83,8 @@ class Environment:
     test_points: tuple[Point2D, ...]
 
     def __post_init__(self):
-        if not (self.length > 0 and self.width > 0):
-            raise ValueError(f"room dimensions must be positive, got {self.length} x {self.width}")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise ValueError(f"room dimensions must be positive and finite, got {self.length} x {self.width}")
         if len(self.anchors) != 3:
             raise ValueError(f"exactly 3 anchors required, got {len(self.anchors)}")
         if sorted(a.id for a in self.anchors) != [1, 2, 3]:
@@ -146,7 +148,7 @@ def true_aoa(env: Environment, anchor_id: int, p: Point2D) -> float:
     return deg
 
 
-def jittered_grid(length, width, n=10, seed=0, margin_frac=0.12, jitter_frac=0.3):
+def jittered_grid(length, width, n, seed, margin_frac=0.12, jitter_frac=0.3):
     """n interior points on a jittered grid, rows x cols chosen by aspect ratio.
 
     Margins keep every point away from the walls (and hence the corner
@@ -173,15 +175,33 @@ def jittered_grid(length, width, n=10, seed=0, margin_frac=0.12, jitter_frac=0.3
     return points[:n]
 
 
-def standard_environment(name: str, n_points=10, point_seed=None) -> Environment:
+@dataclass(frozen=True)
+class GridRoom:
+    """A room given by its size, with n_points test points on a jittered grid
+    drawn from test_point_seed. Its fields are the keys of a room in the
+    experiment config."""
+
+    name: str
+    length_m: float
+    width_m: float
+    n_points: int = 10
+    test_point_seed: int = 0
+
+    def __post_init__(self):
+        check_bound(self, 0, "length_m", "width_m", strict=True)
+        check_bound(self, 1, "n_points")
+        check_bound(self, 0, "test_point_seed")
+
+    def environment(self) -> Environment:
+        points = jittered_grid(self.length_m, self.width_m, self.n_points, self.test_point_seed)
+        return make_environment(self.name, self.length_m, self.width_m, points)
+
+
+def standard_environment(name: str) -> Environment:
     """One of the three built-in rooms with its default jittered test points."""
     if name not in STANDARD_ROOMS:
         raise ValueError(f"unknown room {name!r}; choices: {sorted(STANDARD_ROOMS)}")
-    length, width = STANDARD_ROOMS[name]
-    if point_seed is None:
-        point_seed = _STANDARD_POINT_SEEDS[name]
-    pts = jittered_grid(length, width, n=n_points, seed=point_seed)
-    return make_environment(name, length, width, pts)
+    return GridRoom(name, *STANDARD_ROOMS[name], test_point_seed=_STANDARD_POINT_SEEDS[name]).environment()
 
 
 def standard_environments() -> list[Environment]:

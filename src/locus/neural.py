@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_bound
+
 RIDGE_DEFAULT = 1e-6
 KMEANS_ITERATIONS = 50
 WIDTH_FLOOR = 1e-6
@@ -29,18 +31,28 @@ WIDTH_FLOOR = 1e-6
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 32
-    iterations: int = 2000
+    learning_rate: float
+    batch_size: int
+    iterations: int
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0 or not math.isfinite(self.learning_rate):
             raise ValueError(f"learning rate must be nonnegative, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be positive, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ValueError(f"iteration count must be positive, got {self.iterations}")
+        check_bound(self, 1, "batch_size", "iterations")
+
+
+@dataclass(frozen=True)
+class TrainSpec:
+    """The SGD settings of `fit` (the experiment config's `train` section)."""
+
+    learning_rate: float = 0.01
+    batch_size: int = 32
+    epochs: int = 200
+
+    def __post_init__(self):
+        check_bound(self, 0, "learning_rate")
+        check_bound(self, 1, "batch_size", "epochs")
 
 
 @dataclass
@@ -264,7 +276,7 @@ class RbfModel(Regressor):
         return d, {"k": k}, {"centers": (k, d), "widths": (k,), "w_out": (2, k), "b_out": (2,)}
 
     @classmethod
-    def init(cls, data: np.ndarray, k: int = 40, seed=0) -> "RbfModel":
+    def init(cls, data: np.ndarray, k: int, seed=0) -> "RbfModel":
         centers = kmeans(data, k, seed=seed)
         widths = rbf_widths(centers, data)
         rng = np.random.default_rng([seed, 1])
@@ -459,15 +471,14 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def fit(model: Regressor, x, y, epochs: int, batch_size: int, learning_rate: float, seed: int,
-        ridge=RIDGE_DEFAULT) -> np.ndarray:
+def fit(model: Regressor, x, y, spec: TrainSpec, seed: int, ridge=RIDGE_DEFAULT) -> np.ndarray:
     """Fit a built model in place; returns the loss history. RBF solves its
     output layer by ridge least squares (the history is that one MSE); the
-    other families run SGD for epochs * ceil(n / batch_size) steps."""
+    other families run SGD for spec.epochs * ceil(n / spec.batch_size) steps."""
     if isinstance(model, RbfModel):
         return np.array([fit_rbf_output(model, x, y, ridge=ridge)])
-    steps = epochs * math.ceil(len(x) / batch_size)
-    cfg = TrainConfig(learning_rate=learning_rate, batch_size=batch_size, iterations=steps, seed=seed)
+    steps = spec.epochs * math.ceil(len(x) / spec.batch_size)
+    cfg = TrainConfig(learning_rate=spec.learning_rate, batch_size=spec.batch_size, iterations=steps, seed=seed)
     return train(model, x, y, cfg).loss_history
 
 

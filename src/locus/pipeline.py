@@ -22,16 +22,18 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, expected_rssi, path_loss_from_dict, per_anchor_params, simulate_snapshots
-from .environment import Environment, Point2D, environment_from_dict, environment_to_dict, jittered_grid, make_environment, true_aoa, true_distance
+from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, check_bound, expected_rssi, per_anchor_params, simulate_snapshots
+from .environment import Environment, GridRoom, Point2D, environment_from_dict, environment_to_dict, true_aoa, true_distance
 from .aoa import estimate_aoa
 from .hybrid import hybrid_position
+from .neural import TrainSpec
 from .trilat import rssi_distances, trilaterate
 
 FEATURE_COLUMNS = {"rssi": 3, "hybrid": 6}
@@ -45,39 +47,31 @@ _HISTORY_ROWS = 400
 
 @dataclass(frozen=True)
 class OutlierPolicy:
-    """Per-anchor RSSI deviation thresholds (dB) and a shared AoA threshold (deg).
+    """The redraw screen of generate_dataset (the config's `outlier` section).
 
-    A sample is rejected when any |measured - theoretical| exceeds its
-    threshold. Comparisons are <= threshold, so zero-noise data passes a
-    zero threshold.
+    A sample is redrawn when any RSSI lies more than rssi_sigma_multiple times
+    its anchor's shadowing sigma, or any angle more than aoa_threshold_deg,
+    from the theoretical value.
     """
 
-    rssi_threshold_db: tuple[float, float, float]
+    rssi_sigma_multiple: float = 3.0
     aoa_threshold_deg: float = 10.0
 
     def __post_init__(self):
-        if len(self.rssi_threshold_db) != 3 or any(t < 0 for t in self.rssi_threshold_db):
-            raise ValueError("need three nonnegative rssi thresholds")
-        if self.aoa_threshold_deg < 0:
-            raise ValueError("aoa threshold must be nonnegative")
+        check_bound(self, 0, "rssi_sigma_multiple", "aoa_threshold_deg")
 
 
-def default_outlier_policy(params3, sigma_multiple=3.0, aoa_threshold_deg=10.0) -> OutlierPolicy:
-    """The standard screen: 3 sigma per anchor on RSSI, 10 degrees on AoA."""
-    return OutlierPolicy(
-        rssi_threshold_db=tuple(sigma_multiple * p.sigma for p in params3),
-        aoa_threshold_deg=aoa_threshold_deg,
-    )
-
-
-def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> np.ndarray:
+def screen_outlier(theoretical, measured, rssi_threshold_db, aoa_threshold_deg) -> np.ndarray:
     """Accepted mask of measured feature rows.
 
     theoretical is one layout-ordered vector: 3 RSSI values, optionally
     followed by 3 AoA values. measured holds (n, 3|6) rows in the same layout
-    and gives an (n,) mask; a single row gives a scalar. Angle differences are
-    wrapped: a deviation d counts as min(|d| mod 360, 360 - |d| mod 360), which
-    is |d| itself whenever |d| <= 180.
+    and gives an (n,) mask; a single row gives a scalar. A row is accepted
+    when every |measured - theoretical| is <= its threshold: rssi_threshold_db
+    holds one per anchor (dB), aoa_threshold_deg is shared by the angles, and
+    zero-noise data passes zero thresholds. Angle differences are wrapped: a
+    deviation d counts as min(|d| mod 360, 360 - |d| mod 360), which is |d|
+    itself whenever |d| <= 180.
     """
     theoretical = np.asarray(theoretical, dtype=float)
     measured = np.asarray(measured, dtype=float)
@@ -85,15 +79,27 @@ def screen_outlier(theoretical, measured, policy: OutlierPolicy) -> np.ndarray:
     if theoretical.ndim != 1 or width not in (3, 6) or measured.shape[-1] != width:
         raise ValueError("feature vectors must both have 3 or 6 entries")
     dev = np.abs(measured - theoretical)
-    bad = np.any(dev[..., :3] > np.asarray(policy.rssi_threshold_db), axis=-1)
+    bad = np.any(dev[..., :3] > np.asarray(rssi_threshold_db), axis=-1)
     turn = dev[..., 3:] % 360.0
     # Written as "all within" so that a non-finite angle, whose turn is NaN, fails.
-    return ~bad & np.all(np.minimum(turn, 360.0 - turn) <= policy.aoa_threshold_deg, axis=-1)
+    return ~bad & np.all(np.minimum(turn, 360.0 - turn) <= aoa_threshold_deg, axis=-1)
+
+
+@dataclass(frozen=True)
+class MusicSpec(ArraySpec):
+    """Music mode's array, snapshot SNR (dB) and scan step (the config's `music` section)."""
+
+    snr_db: float = 20.0
+    grid_step_deg: float = 0.25
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_bound(self, 0, "grid_step_deg", strict=True)
 
 
 @dataclass(frozen=True)
 class AoaSim:
-    """How AoA features are produced.
+    """How AoA features are produced (the config's `aoa_mode`, `aoa_noise_deg` and `music`).
 
     fast:  true angle + NLoS perturbation + Gaussian estimation noise.
     music: per-sample array snapshots at the NLoS-perturbed angle, estimated
@@ -105,15 +111,12 @@ class AoaSim:
 
     mode: str = "fast"
     noise_deg: float = 2.0
-    array: ArraySpec = ArraySpec(8, 0.5, 256)
-    snr_db: float = 20.0
-    grid_step_deg: float = 0.25
+    music: MusicSpec = MusicSpec()
 
     def __post_init__(self):
         if self.mode not in ("fast", "music"):
-            raise ValueError(f"aoa mode must be 'fast' or 'music', got {self.mode!r}")
-        if self.noise_deg < 0:
-            raise ValueError("aoa estimation noise must be nonnegative")
+            raise ValueError(f"mode must be 'fast' or 'music', got {self.mode!r}")
+        check_bound(self, 0, "noise_deg")
 
 
 @dataclass(frozen=True)
@@ -221,9 +224,9 @@ def generate_dataset(
     nlos: NlosModel,
     n_per_point: int,
     layout: str = "hybrid",
-    outlier: OutlierPolicy | None = None,
+    outlier: OutlierPolicy = OutlierPolicy(),
     seed: int = 0,
-    aoa: AoaSim | None = None,
+    aoa: AoaSim = AoaSim(),
 ) -> Dataset:
     """Draw n_per_point accepted samples at every test point.
 
@@ -238,10 +241,9 @@ def generate_dataset(
     if not env.test_points:
         raise ValueError("environment has no test points")
     params3 = per_anchor_params(params)
-    aoa = aoa if aoa is not None else AoaSim()
-    policy = outlier if outlier is not None else default_outlier_policy(params3)
     rng = np.random.default_rng(seed)
     sigmas = np.array([p.sigma for p in params3])
+    limits = (outlier.rssi_sigma_multiple * sigmas, outlier.aoa_threshold_deg)
     measure = _aoa_measurer(rng, env, aoa)
 
     feats_all = []
@@ -250,7 +252,7 @@ def generate_dataset(
         theo = [expected_rssi(params3[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
         if layout == "hybrid":
             theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
-        feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, policy)
+        feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, limits)
         rejects += rej
         feats_all.append(feats)
     return Dataset(
@@ -270,6 +272,7 @@ def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
         return lambda biased: biased + rng.standard_normal(biased.shape) * aoa.noise_deg
     center = Point2D(env.length / 2.0, env.width / 2.0)
     refs = np.array([true_aoa(env, i, center) for i in (1, 2, 3)])
+    spec = aoa.music
 
     def music(biased):
         # Bearing relative to the room-center direction, wrapped to [-180, 180).
@@ -277,18 +280,19 @@ def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
         est = np.empty_like(phis)
         for s, i in np.ndindex(phis.shape):
             snap = simulate_snapshots(
-                aoa.array, [SourceSpec(float(phis[s, i]), 0.0)], noise_power_db=-aoa.snr_db, rng=rng
+                spec, [SourceSpec(float(phis[s, i]), 0.0)], noise_power_db=-spec.snr_db, rng=rng
             )
-            est[s, i] = estimate_aoa(snap, 1, grid_step_deg=aoa.grid_step_deg)[0]
+            est[s, i] = estimate_aoa(snap, 1, grid_step_deg=spec.grid_step_deg)[0]
         return est + refs
 
     return music
 
 
-def _draw_point(rng, n, theo, sigmas, nlos, measure, policy):
+def _draw_point(rng, n, theo, sigmas, nlos, measure, limits):
     """n screened feature rows at one point and the count of rejected draws.
 
-    theo is the point's noise-free feature vector in layout order. Rows are
+    theo is the point's noise-free feature vector in layout order, and limits
+    the two threshold arguments of screen_outlier. Rows are
     drawn as a block and screened; the rejected rows are redrawn, for at most
     REDRAW_CAP rounds.
     """
@@ -301,7 +305,7 @@ def _draw_point(rng, n, theo, sigmas, nlos, measure, policy):
         return np.column_stack([rssi, measure(biased)])
 
     feats = draw(n)
-    bad = ~screen_outlier(theo, feats, policy)
+    bad = ~screen_outlier(theo, feats, *limits)
     rejects = int(bad.sum())
     rounds = 0
     while bad.any():
@@ -312,7 +316,7 @@ def _draw_point(rng, n, theo, sigmas, nlos, measure, policy):
         rounds += 1
         idx = np.flatnonzero(bad)
         feats[idx] = draw(idx.size)
-        bad[idx] = ~screen_outlier(theo, feats[idx], policy)
+        bad[idx] = ~screen_outlier(theo, feats[idx], *limits)
         rejects += int(bad.sum())
     return feats, rejects
 
@@ -379,12 +383,7 @@ class NormStats:
         return y_norm * (self.target_max - self.target_min) + self.target_min
 
     def to_dict(self) -> dict:
-        return {
-            "feature_min": [float(v) for v in self.feature_min],
-            "feature_max": [float(v) for v in self.feature_max],
-            "target_min": [float(v) for v in self.target_min],
-            "target_max": [float(v) for v in self.target_max],
-        }
+        return {f.name: [float(v) for v in getattr(self, f.name)] for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict, input_dim: int) -> "NormStats":
@@ -409,14 +408,7 @@ class EvalReport:
     n_test: int
 
     def to_dict(self) -> dict:
-        return {
-            "model_family": self.model_family,
-            "environment": self.environment,
-            "layout": self.layout,
-            "per_point_mae_mm": {str(k): v for k, v in self.per_point_mae_mm.items()},
-            "overall_mae_mm": self.overall_mae_mm,
-            "n_test": self.n_test,
-        }
+        return {**asdict(self), "per_point_mae_mm": {str(k): v for k, v in self.per_point_mae_mm.items()}}
 
 
 def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
@@ -472,141 +464,173 @@ def hybrid_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float
 
 @dataclass(frozen=True)
 class EnvSpec:
+    """One room of a sweep, with its NLoS model and per-anchor path loss."""
+
     env: Environment
-    nlos: NlosModel
-    params: tuple[PathLossParams, PathLossParams, PathLossParams]
+    nlos: NlosModel = NlosModel()
+    params: tuple[PathLossParams, PathLossParams, PathLossParams] = (PathLossParams(2.5, 3.0, -40.0),) * 3
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep. Each field but envs and aoa is the top-level config key of its name.
+
+    Every config key is a field of this class, TrainSpec, OutlierPolicy, AoaSim,
+    MusicSpec, GridRoom, NlosModel or PathLossParams, whose default is the
+    key's only default; load_config and config_to_dict walk these classes.
+    """
+
     envs: tuple[EnvSpec, ...]
     seeds: tuple[int, ...] = tuple(range(10))
     n_per_point: int = 500
     train_fraction: float = 0.8
     models: tuple[str, ...] = MODEL_FAMILIES
     layouts: tuple[str, ...] = LAYOUTS
-    aoa: AoaSim = AoaSim()
-    learning_rate: float = 0.01
-    batch_size: int = 32
-    epochs: int = 200
     rbf_centers: int = 40
-    outlier_sigma_multiple: float = 3.0
-    outlier_aoa_deg: float = 10.0
+    aoa: AoaSim = AoaSim()
+    train: TrainSpec = TrainSpec()
+    outlier: OutlierPolicy = OutlierPolicy()
 
     def __post_init__(self):
         if not self.envs:
-            raise ValueError("at least one environment required")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
-        for m in self.models:
-            if m not in MODEL_FAMILIES:
-                raise ValueError(f"unknown model family {m!r}")
-        for l in self.layouts:
-            if l not in LAYOUTS:
-                raise ValueError(f"unknown layout {l!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
+            raise ValueError("environments must hold at least one room")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be a nonempty list of nonnegative integers, got {list(self.seeds)}")
+        check_bound(self, 1, "n_per_point", "rbf_centers")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        for name, allowed in (("models", MODEL_FAMILIES), ("layouts", LAYOUTS)):
+            values = getattr(self, name)
+            if not values or not set(values) <= set(allowed):
+                raise ValueError(f"{name} must be a nonempty list from {list(allowed)}, got {list(values)}")
 
-    def outlier_policy(self, spec: EnvSpec) -> OutlierPolicy:
-        """The screen of one room: the configured sigma multiple per anchor."""
-        return default_outlier_policy(spec.params, self.outlier_sigma_multiple, self.outlier_aoa_deg)
+    def dataset(self, spec: EnvSpec, seed: int, layout: str = "hybrid") -> Dataset:
+        """One room's dataset, drawn with this sweep's sample count, screen and AoA model."""
+        return generate_dataset(spec.env, list(spec.params), spec.nlos, self.n_per_point, layout, self.outlier, seed, self.aoa)
+
+
+def _section(cls, doc, prefix: str, **built):
+    """cls from the JSON object doc, whose keys are the fields of cls less those in built.
+
+    Each value is cast to its field's type, a nested section is read the same
+    way, and a field left out keeps its default. An unknown or missing key, a
+    value of the wrong type, a non-finite number, or a value that cls rejects
+    raises ValueError naming prefix + key: every config class's check starts
+    its message with the field's name.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(built)
+    for key, value in doc.items():
+        if key not in hints or key in built:
+            raise ValueError(f"unknown config key {prefix}{key}")
+        kwargs[key] = _cast(value, hints[key], prefix + key)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise ValueError(f"missing config key {prefix}{f.name}")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{prefix}{e}") from e
+
+
+def _cast(value, hint, key: str):
+    """value as the type hint of config key `key` (see _section)."""
+    if is_dataclass(hint):
+        return _section(hint, value, key + ".")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return tuple(_cast(v, typing.get_args(hint)[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if hint is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (hint is float or value == int(value))
+    if not ok:
+        want = {float: "a finite number", int: "an integer", str: "a string"}[hint]
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+    return hint(value)
+
+
+def path_loss_from_dict(doc, where: str = "path_loss") -> tuple[PathLossParams, PathLossParams, PathLossParams]:
+    """Per-anchor parameters from a path-loss document: one object
+    {gamma, sigma, p_r_d0[, d0]} shared by all anchors, or a list of three.
+    A bad entry raises ValueError naming where and the key."""
+    if not isinstance(doc, list):
+        return (_section(PathLossParams, doc, where + "."),) * 3
+    if len(doc) != 3:
+        raise ValueError(f"{where} needs 3 entries, one per anchor, got {len(doc)}")
+    return tuple(_section(PathLossParams, d, f"{where}[{i}].") for i, d in enumerate(doc))
+
+
+_LISTED_ROOM_KEYS = ("name", "length_m", "width_m", "anchors", "test_points")
+
+
+def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
+    """One entry of `environments`: a listed room (anchors and test points, as
+    config_to_dict writes it) or a GridRoom, with its own nlos section and its
+    own path_loss, else the shared top-level one, else EnvSpec's default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    room = dict(doc)
+    built = dict(shared)
+    if "path_loss" in room:
+        built["params"] = path_loss_from_dict(room.pop("path_loss"), f"{where}.path_loss")
+    built["nlos"] = _section(NlosModel, room.pop("nlos", {}), f"{where}.nlos.")
+    grid = None
+    if "anchors" not in room:
+        grid = _section(GridRoom, room, where + ".")
+    elif unknown := [key for key in room if key not in _LISTED_ROOM_KEYS]:
+        raise ValueError(f"unknown config key {where}.{unknown[0]}")
+    try:
+        env = environment_from_dict(room) if grid is None else grid.environment()
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{where}: {e!s}") from e
+    return EnvSpec(env, **built)
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path or an already-parsed dict."""
+    """The sweep of a JSON config file path or an already-parsed dict.
+
+    Every key is checked before anything runs (see _section). Only
+    `aoa_mode`/`aoa_noise_deg`, which fill an AoaSim with the `music`
+    section, and `environments` with the shared `path_loss` are read by hand.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as f:
-            cfg = json.load(f)
-    else:
-        cfg = dict(source)
-    shared_pl = cfg.get("path_loss", {"gamma": 2.5, "sigma": 3.0, "p_r_d0": -40.0, "d0": 1.0})
-    envs = []
-    for e in cfg["environments"]:
-        if "anchors" in e:
-            env = environment_from_dict(e)
-        else:
-            pts = jittered_grid(
-                float(e["length_m"]),
-                float(e["width_m"]),
-                n=int(e.get("n_points", 10)),
-                seed=int(e.get("test_point_seed", 0)),
-            )
-            env = make_environment(e["name"], float(e["length_m"]), float(e["width_m"]), pts)
-        nl = e.get("nlos", {})
-        nlos = NlosModel(
-            excess_loss_db=float(nl.get("excess_loss_db", 0.0)),
-            aoa_bias_deg_sigma=float(nl.get("aoa_bias_deg_sigma", 0.0)),
-        )
-        envs.append(EnvSpec(env=env, nlos=nlos, params=path_loss_from_dict(e.get("path_loss", shared_pl))))
-    train = cfg.get("train", {})
-    music = cfg.get("music", {})
-    aoa = AoaSim(
-        mode=cfg.get("aoa_mode", "fast"),
-        noise_deg=float(cfg.get("aoa_noise_deg", 2.0)),
-        array=ArraySpec(
-            m=int(music.get("m", 8)),
-            spacing_wavelengths=float(music.get("spacing_wavelengths", 0.5)),
-            snapshots=int(music.get("snapshots", 256)),
-        ),
-        snr_db=float(music.get("snr_db", 20.0)),
-        grid_step_deg=float(music.get("grid_step_deg", 0.25)),
-    )
-    outlier = cfg.get("outlier", {})
-    return ExperimentConfig(
-        envs=tuple(envs),
-        seeds=tuple(int(s) for s in cfg.get("seeds", range(10))),
-        n_per_point=int(cfg.get("n_per_point", 500)),
-        train_fraction=float(cfg.get("train_fraction", 0.8)),
-        models=tuple(cfg.get("models", MODEL_FAMILIES)),
-        layouts=tuple(cfg.get("layouts", LAYOUTS)),
-        aoa=aoa,
-        learning_rate=float(train.get("learning_rate", 0.01)),
-        batch_size=int(train.get("batch_size", 32)),
-        epochs=int(train.get("epochs", 200)),
-        rbf_centers=int(cfg.get("rbf_centers", 40)),
-        outlier_sigma_multiple=float(outlier.get("rssi_sigma_multiple", 3.0)),
-        outlier_aoa_deg=float(outlier.get("aoa_threshold_deg", 10.0)),
-    )
+            source = json.load(f)
+    if not isinstance(source, dict):
+        raise ValueError(f"the config must be a JSON object, got {source!r}")
+    cfg = dict(source)
+    rooms = cfg.pop("environments", None)
+    if not isinstance(rooms, list):
+        raise ValueError(f"environments must be a list of rooms, got {rooms!r}")
+    shared = {"params": path_loss_from_dict(cfg.pop("path_loss"))} if "path_loss" in cfg else {}
+    envs = tuple(_env_spec(room, f"environments[{i}]", shared) for i, room in enumerate(rooms))
+    aoa = {key: cfg.pop("aoa_" + key) for key in ("mode", "noise_deg") if "aoa_" + key in cfg}
+    music = _section(MusicSpec, cfg.pop("music", {}), "music.")
+    return _section(ExperimentConfig, cfg, "", envs=envs, aoa=_section(AoaSim, aoa, "aoa_", music=music))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "environments": [
-            {
-                **environment_to_dict(spec.env),
-                "nlos": {
-                    "excess_loss_db": spec.nlos.excess_loss_db,
-                    "aoa_bias_deg_sigma": spec.nlos.aoa_bias_deg_sigma,
-                },
-                "path_loss": [asdict(p) for p in spec.params],
-            }
-            for spec in config.envs
-        ],
-        "seeds": list(config.seeds),
-        "n_per_point": config.n_per_point,
-        "train_fraction": config.train_fraction,
-        "models": list(config.models),
-        "layouts": list(config.layouts),
-        "aoa_mode": config.aoa.mode,
-        "aoa_noise_deg": config.aoa.noise_deg,
-        "music": {
-            "m": config.aoa.array.m,
-            "spacing_wavelengths": config.aoa.array.spacing_wavelengths,
-            "snapshots": config.aoa.array.snapshots,
-            "snr_db": config.aoa.snr_db,
-            "grid_step_deg": config.aoa.grid_step_deg,
-        },
-        "train": {
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-        },
-        "rbf_centers": config.rbf_centers,
-        "outlier": {
-            "rssi_sigma_multiple": config.outlier_sigma_multiple,
-            "aoa_threshold_deg": config.outlier_aoa_deg,
-        },
-    }
+    """The JSON form of a config, which load_config reads back to an equal one."""
+    doc = {f.name: _json_form(getattr(config, f.name)) for f in fields(config) if f.name not in ("envs", "aoa")}
+    aoa = _json_form(config.aoa)
+    doc.update(aoa_mode=aoa["mode"], aoa_noise_deg=aoa["noise_deg"], music=aoa["music"])
+    doc["environments"] = [
+        {**environment_to_dict(spec.env), "nlos": _json_form(spec.nlos), "path_loss": _json_form(spec.params)}
+        for spec in config.envs
+    ]
+    return doc
+
+
+def _json_form(value):
+    """A config value as JSON data: a section as the dict of its fields, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
+    return [_json_form(v) for v in value] if isinstance(value, tuple) else value
 
 
 def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -622,16 +646,7 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
     """One (environment, seed) cell: shared dataset, all layouts and models."""
     spec = config.envs[env_idx]
     dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
-    ds_hybrid = generate_dataset(
-        spec.env,
-        list(spec.params),
-        spec.nlos,
-        config.n_per_point,
-        layout="hybrid",
-        outlier=config.outlier_policy(spec),
-        seed=dataset_seed,
-        aoa=config.aoa,
-    )
+    ds_hybrid = config.dataset(spec, dataset_seed)
     tr_h, te_h = split(ds_hybrid, config.train_fraction, seed=split_seed)
     baselines = {
         "trilat": trilat_baseline_mae_mm(spec.env, list(spec.params), te_h),
@@ -649,9 +664,7 @@ def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
             model = neural.build(family, xn, init_seed, config.rbf_centers)
             untrained = evaluate_mae(model, te, stats)
             try:
-                history = neural.fit(
-                    model, xn, yn, config.epochs, config.batch_size, config.learning_rate, train_seed
-                )
+                history = neural.fit(model, xn, yn, config.train, train_seed)
             except ValueError as e:
                 raise ValueError(f"{spec.env.name} seed {seed} layout {layout}: {e}") from e
             trained = evaluate_mae(model, te, stats)
@@ -742,12 +755,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
                 m: improvement_percent(row[f"{m}_rssi"], row[f"{m}_hybrid"]) for m in config.models
             }
     baseline_table = {
-        name: {
-            "trilat": float(np.mean([b["trilat"] for b in baselines if b["environment"] == name])),
-            "hybrid_closed_form": float(
-                np.mean([b["hybrid_closed_form"] for b in baselines if b["environment"] == name])
-            ),
-        }
+        name: {key: float(np.mean([b[key] for b in baselines if b["environment"] == name])) for key in ("trilat", "hybrid_closed_form")}
         for name in env_names
     }
 
@@ -776,31 +784,25 @@ def _round6(obj):
 
 
 def write_report_files(report: dict, runs_with_history: list, config: ExperimentConfig, out_dir):
-    """report.json plus mae/improvement tables and the training loss log."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(_round6(report), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    """report.json plus mae/improvement tables and the training loss log.
 
-    cols = [f"{family}_{layout}" for family in config.models for layout in config.layouts]
-    lines = ["environment," + ",".join(cols)]
-    for name, row in report["mae_table_mm"].items():
-        lines.append(name + "," + ",".join(f"{row[c]:.6f}" for c in cols))
-    with open(os.path.join(out_dir, "mae_table.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-
+    Every file's text is built before the first one is opened, so a report
+    that holds NaN raises and leaves an earlier report.json whole.
+    """
+    texts = {"report.json": json.dumps(_round6(report), indent=2, sort_keys=True, allow_nan=False) + "\n"}
+    tables = {"mae_table.csv": ([f"{f}_{l}" for f in config.models for l in config.layouts], report["mae_table_mm"])}
     if report["improvement_percent"]:
-        lines = ["environment," + ",".join(config.models)]
-        for name, row in report["improvement_percent"].items():
-            lines.append(name + "," + ",".join(f"{row[m]:.6f}" for m in config.models))
-        with open(os.path.join(out_dir, "improvement_table.csv"), "w") as f:
-            f.write("\n".join(lines) + "\n")
-
-    lines = ["environment,layout,model,seed,step,loss"]
-    for r in runs_with_history:
-        for step, loss in r["loss_history"]:
-            lines.append(
-                f"{r['environment']},{r['layout']},{r['model']},{r['seed']},{step},{loss:.6f}"
-            )
-    with open(os.path.join(out_dir, "loss_history.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+        tables["improvement_table.csv"] = (config.models, report["improvement_percent"])
+    for name, (cols, table) in tables.items():
+        rows = [env + "," + ",".join(f"{row[c]:.6f}" for c in cols) for env, row in table.items()]
+        texts[name] = "\n".join(["environment," + ",".join(cols), *rows]) + "\n"
+    rows = [
+        f"{r['environment']},{r['layout']},{r['model']},{r['seed']},{step},{loss:.6f}"
+        for r in runs_with_history
+        for step, loss in r["loss_history"]
+    ]
+    texts["loss_history.csv"] = "\n".join(["environment,layout,model,seed,step,loss", *rows]) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w") as f:
+            f.write(text)

@@ -61,7 +61,10 @@ def test_expected_rssi_below_reference_errors():
 def test_expected_rssi_monotone_decreasing(gamma, d1, d2):
     p = PathLossParams(gamma=gamma, sigma=0.0, p_r_d0=-40.0)
     lo, hi = sorted([d1, d2])
-    if hi > lo:
+    assert expected_rssi(p, hi) <= expected_rssi(p, lo)
+    # Distances an ulp or so apart can round to the same dBm value; past
+    # rounding the drop must be strict.
+    if hi > lo * (1 + 1e-9):
         assert expected_rssi(p, hi) < expected_rssi(p, lo)
 
 
@@ -194,6 +197,15 @@ def test_snapshot_matrix_rejects_non_finite():
         data[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             SnapshotMatrix(data, spec)
+
+
+def test_simulate_snapshots_rejects_nan_noise_power():
+    spec = ArraySpec(m=4, spacing_wavelengths=0.5, snapshots=8)
+    with pytest.raises(ValueError, match="noise_power_db"):
+        simulate_snapshots(spec, [SourceSpec(10.0, 0.0)], noise_power_db=math.nan, rng=np.random.default_rng(0))
+    # -inf stays the noiseless flag.
+    x = simulate_snapshots(spec, [SourceSpec(10.0, 0.0)], noise_power_db=-math.inf, rng=np.random.default_rng(0))
+    assert np.linalg.matrix_rank(x.data) == 1
 
 
 def test_snapshot_csv_roundtrip():

@@ -14,7 +14,7 @@ from locus import cli, pipeline
 from locus.channel import PathLossParams, expected_rssi
 from locus.cli import main
 from locus.environment import Point2D, make_environment, true_aoa, true_distance
-from locus.pipeline import default_outlier_policy, generate_dataset, load_config
+from locus.pipeline import OutlierPolicy, generate_dataset, load_config
 
 PARAMS = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
 
@@ -309,7 +309,7 @@ def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
     assert code == 0
     spec = load_config(cfg).envs[0]
     want = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3,
-                            outlier=default_outlier_policy(spec.params, sigma_multiple=2.0))
+                            outlier=OutlierPolicy(rssi_sigma_multiple=2.0))
     default = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3)
     assert want.rejects != default.rejects
     assert json.loads(ds_path.read_text())["rejects"] == want.rejects
@@ -400,6 +400,73 @@ def test_report_bad_locus_threads_exits_1(capsys, tmp_path, monkeypatch, value):
     assert code == 1
     assert "LOCUS_THREADS" in err and repr(value) in err
     assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed configs fail by name before any cell runs
+
+# (case, path of the key in the config, value, the key as stderr names it)
+BAD_CONFIGS = [
+    ("unknown-top", ("n_per_piont",), 30, "n_per_piont"),
+    ("unknown-train", ("train", "epoch"), 5, "train.epoch"),
+    ("unknown-music", ("music", "snapshot"), 64, "music.snapshot"),
+    ("unknown-outlier", ("outlier", "rssi_sigma"), 2.0, "outlier.rssi_sigma"),
+    ("unknown-room", ("environments", 0, "n_piont"), 3, "environments[0].n_piont"),
+    ("unknown-nlos", ("environments", 0, "nlos", "excess_loss"), 1.0, "environments[0].nlos.excess_loss"),
+    ("nan", ("aoa_noise_deg",), math.nan, "aoa_noise_deg"),
+    ("infinity", ("music", "snr_db"), math.inf, "music.snr_db"),
+    ("nan-string", ("train", "learning_rate"), "nan", "train.learning_rate"),
+    ("nan-nlos", ("environments", 0, "nlos", "excess_loss_db"), math.nan, "environments[0].nlos.excess_loss_db"),
+    ("n_per_point", ("n_per_point",), 0, "n_per_point"),
+    ("train_fraction", ("train_fraction",), 1.0, "train_fraction"),
+    ("rbf_centers", ("rbf_centers",), 0, "rbf_centers"),
+    ("learning_rate", ("train", "learning_rate"), -0.1, "train.learning_rate"),
+    ("epochs", ("train", "epochs"), 0, "train.epochs"),
+    ("seeds-negative", ("seeds",), [0, -1], "seeds"),
+    ("seeds-empty", ("seeds",), [], "seeds"),
+    ("grid_step_deg", ("music", "grid_step_deg"), 0.0, "music.grid_step_deg"),
+    ("n_points", ("environments", 0, "n_points"), 0, "environments[0].n_points"),
+]
+
+
+def _set_key(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {}) if isinstance(key, str) else doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["report", "simulate dataset"])
+@pytest.mark.parametrize("case,path,value,key", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
+def test_bad_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, command, case, path, value, key):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+    doc = json.loads(open(_config_file(tmp_path)).read())
+    _set_key(doc, path, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "report": ["report", "--config", str(cfg), "--out", str(out)],
+        "simulate dataset": ["simulate", "dataset", "--config", str(cfg), "--env-name", "roomA", "--out", str(out)],
+    }[command]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2, err
+    assert stdout == ""
+    assert "locus: error: " in err and key in err, err
+    assert not out.exists()
+
+
+def test_simulate_snapshots_rejects_nan_snr(capsys, tmp_path):
+    out = tmp_path / "snap.csv"
+    argv = ["simulate", "snapshots", "--angles=10", "--snapshots", "16", "--out", str(out)]
+    code, _, err = _run(capsys, argv + ["--snr-db", "nan"])
+    assert code == 2
+    assert "noise_power_db" in err
+    assert not out.exists()
+    code, _, _ = _run(capsys, argv + ["--snr-db", "inf"])
+    assert code == 0 and out.exists()
 
 
 # ---------------------------------------------------------------------------

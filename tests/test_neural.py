@@ -456,11 +456,11 @@ def test_build_and_fit_recipes():
     rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
     assert rbf.arrays["centers"].shape == (7, 6)  # k = min(centers, n)
     ref = RbfModel(rbf.arrays)
-    history = neural.fit(rbf, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0, ridge=1e-3)
+    history = neural.fit(rbf, x, y, neural.TrainSpec(0.1, 2, 3), seed=0, ridge=1e-3)
     assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
     assert np.array_equal(rbf.arrays["w_out"], ref.arrays["w_out"])
     mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
-    history = neural.fit(mlp, x, y, epochs=3, batch_size=2, learning_rate=0.1, seed=0)
+    history = neural.fit(mlp, x, y, neural.TrainSpec(0.1, 2, 3), seed=0)
     assert history.size == 3 * math.ceil(7 / 2)
     with pytest.raises(ValueError, match="unknown model family"):
         neural.build("svm", x, seed=0, rbf_centers=40)

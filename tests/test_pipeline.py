@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locus.channel import ArraySpec, NlosModel, PathLossParams, expected_rssi
+from locus.channel import NlosModel, PathLossParams, expected_rssi
 from locus.environment import Point2D, make_environment, standard_environment, true_aoa, true_distance
 from locus.pipeline import (
     AoaSim,
     Dataset,
+    MusicSpec,
     NormStats,
     OutlierPolicy,
     UsageError,
     config_to_dict,
     dataset_from_dict,
     dataset_to_dict,
-    default_outlier_policy,
     evaluate_mae,
     generate_dataset,
     hybrid_baseline_mae_mm,
@@ -35,7 +35,9 @@ from locus.pipeline import (
 PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
 QUIET = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
 # Music mode at a scale that keeps a test well under a second.
-TINY_MUSIC = AoaSim(mode="music", array=ArraySpec(8, 0.5, 64), snr_db=20.0, grid_step_deg=0.5)
+TINY_MUSIC = AoaSim(mode="music", music=MusicSpec(8, 0.5, 64, snr_db=20.0, grid_step_deg=0.5))
+# screen_outlier's thresholds: 9 dB per anchor, 10 degrees.
+LIMITS = ((9.0, 9.0, 9.0), 10.0)
 
 
 def _tiny_env(n_points=3):
@@ -48,46 +50,42 @@ def _tiny_env(n_points=3):
 
 
 def test_screen_accepts_within_thresholds():
-    policy = OutlierPolicy((9.0, 9.0, 9.0), 10.0)
     theo = np.array([-50.0, -60.0, -70.0, 10.0, 20.0, 30.0])
     meas = theo + np.array([8.9, -8.9, 0.0, 9.9, -9.9, 0.0])
-    assert screen_outlier(theo, meas, policy)
+    assert screen_outlier(theo, meas, *LIMITS)
 
 
 def test_screen_rejects_each_channel():
-    policy = OutlierPolicy((9.0, 9.0, 9.0), 10.0)
     theo = np.array([-50.0, -60.0, -70.0, 10.0, 20.0, 30.0])
     bad_rssi = theo.copy()
     bad_rssi[1] -= 9.1
-    assert not screen_outlier(theo, bad_rssi, policy)
+    assert not screen_outlier(theo, bad_rssi, *LIMITS)
     bad_aoa = theo.copy()
     bad_aoa[5] += 10.1
-    assert not screen_outlier(theo, bad_aoa, policy)
+    assert not screen_outlier(theo, bad_aoa, *LIMITS)
 
 
 def test_screen_rssi_only_layout():
-    policy = OutlierPolicy((9.0, 9.0, 9.0), 10.0)
     theo = np.array([-50.0, -60.0, -70.0])
-    assert screen_outlier(theo, theo + 8.0, policy)
-    assert not screen_outlier(theo, theo + np.array([0.0, 9.5, 0.0]), policy)
+    assert screen_outlier(theo, theo + 8.0, *LIMITS)
+    assert not screen_outlier(theo, theo + np.array([0.0, 9.5, 0.0]), *LIMITS)
 
 
 def test_screen_wraps_angle_deviations():
-    policy = OutlierPolicy((9.0, 9.0, 9.0), 10.0)
     theo = np.array([-50.0, -60.0, -70.0, 10.0, 180.0, -170.0])
     # Across the +-180 seam: 180 vs -175.5 is 4.5 degrees, -170 vs 175 is 15.
     near = theo + np.array([0.0, 0.0, 0.0, 0.0, -355.5, 0.0])
     far = theo + np.array([0.0, 0.0, 0.0, 0.0, 0.0, -15.0 + 360.0])
-    assert screen_outlier(theo, near, policy)
-    assert not screen_outlier(theo, far, policy)
+    assert screen_outlier(theo, near, *LIMITS)
+    assert not screen_outlier(theo, far, *LIMITS)
     # Whole turns fold away; up to 180 the deviation is the raw one.
-    assert screen_outlier(theo, theo + np.array([0.0] * 3 + [720.0 + 9.9, -360.0, 0.0]), policy)
+    assert screen_outlier(theo, theo + np.array([0.0] * 3 + [720.0 + 9.9, -360.0, 0.0]), *LIMITS)
     with np.errstate(invalid="ignore"):
-        assert not screen_outlier(theo, theo + np.array([0.0] * 5 + [np.inf]), policy)
+        assert not screen_outlier(theo, theo + np.array([0.0] * 5 + [np.inf]), *LIMITS)
     rng = np.random.default_rng(0)
     meas = theo + np.column_stack([np.zeros((500, 3)), rng.uniform(-180.0, 180.0, (500, 3))])
-    raw = ~np.any(np.abs(meas - theo)[:, 3:] > policy.aoa_threshold_deg, axis=1)
-    assert np.array_equal(screen_outlier(theo, meas, policy), raw)
+    raw = ~np.any(np.abs(meas - theo)[:, 3:] > LIMITS[1], axis=1)
+    assert np.array_equal(screen_outlier(theo, meas, *LIMITS), raw)
 
 
 def test_music_dataset_at_the_far_wall():
@@ -101,9 +99,19 @@ def test_music_dataset_at_the_far_wall():
 
 
 def test_default_policy_scales_with_sigma():
-    p = default_outlier_policy([PARAMS] * 3)
-    assert p.rssi_threshold_db == (9.0, 9.0, 9.0)
-    assert p.aoa_threshold_deg == 10.0
+    p = OutlierPolicy()
+    assert (p.rssi_sigma_multiple, p.aoa_threshold_deg) == (3.0, 10.0)
+    # Each anchor is screened at the multiple times its own sigma.
+    env = _tiny_env(1)
+    sigmas = np.array([1.0, 2.0, 4.0])
+    params = [PathLossParams(gamma=2.5, sigma=s, p_r_d0=-40.0) for s in sigmas]
+    theo = [expected_rssi(params[i - 1], true_distance(env, i, env.test_points[0])) for i in (1, 2, 3)]
+    for policy, multiple in ((None, 3.0), (OutlierPolicy(1.5, 10.0), 1.5)):
+        kwargs = {} if policy is None else {"outlier": policy}
+        ds = generate_dataset(env, params, NlosModel(0.0, 0.0), 300, "rssi", seed=4, **kwargs)
+        dev = np.abs(ds.features - theo)
+        assert np.all(dev <= multiple * sigmas)
+        assert np.all(dev.max(axis=0) > 0.8 * multiple * sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,6 @@ def test_generated_features_respect_screen(aoa, n_per_point, aoa_bias):
     env = _tiny_env()
     nlos = NlosModel(1.0, aoa_bias)
     ds = generate_dataset(env, PARAMS, nlos, n_per_point, layout="hybrid", seed=3, aoa=aoa)
-    policy = default_outlier_policy([PARAMS] * 3)
     for pid, p in enumerate(env.test_points):
         theo = np.array(
             [expected_rssi(PARAMS, true_distance(env, i, p)) for i in (1, 2, 3)]
@@ -167,7 +174,7 @@ def test_dataset_determinism_and_seed_sensitivity():
 @pytest.mark.parametrize("aoa", [AoaSim("fast"), TINY_MUSIC], ids=["fast", "music"])
 def test_redraw_cap_raises(aoa):
     env = _tiny_env(1)
-    strict = OutlierPolicy((0.001, 0.001, 0.001), 10.0)
+    strict = OutlierPolicy(0.001 / 3.0, 10.0)
     with pytest.raises(RuntimeError, match="redraw cap"):
         generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="hybrid",
                          outlier=strict, seed=0, aoa=aoa)
@@ -187,7 +194,7 @@ def test_project_rssi_shares_draws():
 def test_music_mode_dataset():
     """Slow path at tiny scale: estimates must stay within the screen."""
     env = _tiny_env(1)
-    aoa = AoaSim(mode="music", array=ArraySpec(8, 0.5, 64), snr_db=20.0, grid_step_deg=0.5)
+    aoa = AoaSim(mode="music", music=MusicSpec(8, 0.5, 64, snr_db=20.0, grid_step_deg=0.5))
     ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.5), 3, layout="hybrid", seed=2, aoa=aoa)
     p = env.test_points[0]
     theo_aoa = np.array([true_aoa(env, i, p) for i in (1, 2, 3)])
@@ -425,8 +432,22 @@ def test_load_config_defaults_and_validation():
 
 def test_config_dict_roundtrip_keeps_music_settings():
     cfg = _small_config(aoa_mode="music", music={"snapshots": 64, "snr_db": 10.0})
-    assert (cfg.aoa.array.snapshots, cfg.aoa.snr_db) == (64, 10.0)
+    assert (cfg.aoa.music.snapshots, cfg.aoa.music.snr_db) == (64, 10.0)
     assert load_config(config_to_dict(cfg)) == cfg
+
+
+def test_listed_rooms_are_checked_too():
+    """config_to_dict writes rooms with their anchors and test points; load_config
+    checks that form's keys and room size as well."""
+    for key, value, words in (
+        ("n_points", 3, "unknown config key environments[1].n_points"),
+        ("length_m", math.inf, "environments[1]: room dimensions must be positive and finite"),
+    ):
+        doc = config_to_dict(_small_config())
+        doc["environments"][1][key] = value
+        with pytest.raises(ValueError) as e:
+            load_config(doc)
+        assert str(e.value).startswith(words)
 
 
 def test_run_experiment_structure_and_tables(tmp_path):
@@ -459,6 +480,18 @@ def test_report_json_refuses_nan(tmp_path):
     cfg = _small_config()
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_report_files({"total_rejects": float("nan")}, [], cfg, tmp_path)
+
+
+def test_report_with_nan_leaves_an_earlier_report_whole(tmp_path):
+    cfg = _small_config()
+    row = {f"{m}_{l}": 1.0 for m in cfg.models for l in cfg.layouts}
+    report = {"total_rejects": 3, "mae_table_mm": {"roomA": row}, "improvement_percent": {}}
+    write_report_files(report, [], cfg, tmp_path)
+    before = (tmp_path / "report.json").read_bytes()
+    bad = {**report, "mae_table_mm": {"roomA": {**row, "mlp_rssi": float("nan")}}, "total_rejects": 4}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report_files(bad, [], cfg, tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == before
 
 
 def test_run_experiment_reproducible():
