@@ -32,7 +32,6 @@ from .neural import (
     CnnModel,
     MlpModel,
     RbfModel,
-    TrainConfig,
     TrainResult,
     fit_rbf_output,
     gradient_check,

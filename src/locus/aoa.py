@@ -13,6 +13,7 @@ the exact grid values. The cached arrays are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,12 +87,19 @@ def noise_subspace(eig: EigenDecomposition, k: int) -> np.ndarray:
     return eig.vectors[:, k:]
 
 
+def grid_size(step_deg: float, name: str = "grid step") -> int:
+    """n of the scan grid -90 + step_deg * [0, 1, ..., n], which must end at +90:
+    a step that does not divide 180 degrees raises ValueError naming it."""
+    ratio = 180.0 / step_deg if step_deg > 0 else 0.0
+    n = round(ratio) if ratio < math.inf else 0
+    if not (n >= 1 and 90.0 - 1e-9 <= -90.0 + step_deg * n <= 90.0):
+        raise ValueError(f"{name} must be a positive divisor of 180 degrees, got {step_deg}")
+    return n
+
+
 def angle_grid(step_deg: float = 0.1) -> np.ndarray:
-    """Uniform scan grid covering [-90, 90] inclusive."""
-    if not step_deg > 0:
-        raise ValueError("grid step must be positive")
-    n = int(round(180.0 / step_deg))
-    return -90.0 + step_deg * np.arange(n + 1)
+    """Uniform scan grid covering [-90, 90] inclusive (see grid_size)."""
+    return -90.0 + step_deg * np.arange(grid_size(step_deg) + 1)
 
 
 @lru_cache(maxsize=8)

@@ -12,7 +12,8 @@ complex white Gaussian noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +25,58 @@ def check_bound(obj, bound, *names: str, strict: bool = False) -> None:
         value = getattr(obj, name)
         if not (value > bound if strict else value >= bound):
             raise ValueError(f"{name} must be {'above' if strict else 'at least'} {bound}, got {value}")
+
+
+def read_section(cls, doc, prefix: str, **built):
+    """cls from the JSON object doc, whose keys are the fields of cls less those in built.
+
+    Each value is cast to its field's type, a nested section is read the same
+    way, and a field left out keeps its default. An unknown or missing key, a
+    value of the wrong type, a non-finite number, or a value that cls rejects
+    raises ValueError naming prefix + key: every config class's check starts
+    its message with the field's name.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(built)
+    for key, value in doc.items():
+        if key not in hints or key in built:
+            raise ValueError(f"unknown config key {prefix}{key}")
+        kwargs[key] = _cast(value, hints[key], prefix + key)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise ValueError(f"missing config key {prefix}{f.name}")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{prefix}{e}") from e
+
+
+def _cast(value, hint, key: str):
+    """value as the type hint of config key `key` (see read_section)."""
+    if is_dataclass(hint):
+        return read_section(hint, value, key + ".")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return tuple(_cast(v, typing.get_args(hint)[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if hint is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (hint is float or value == int(value))
+    if not ok:
+        want = {float: "a finite number", int: "an integer", str: "a string"}[hint]
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+    return hint(value)
+
+
+def json_form(value):
+    """A section as JSON data, the inverse of read_section: a section as the dict of its fields, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    return [json_form(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)

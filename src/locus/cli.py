@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import neural
-from .aoa import angle_grid, correlation_matrix, eigendecompose, estimate_aoa, noise_subspace, spatial_spectrum
+from .aoa import angle_grid, correlation_matrix, eigendecompose, estimate_aoa, grid_size, noise_subspace, spatial_spectrum
 from .channel import ArraySpec, PathLossParams, SourceSpec, simulate_rssi, simulate_snapshots, snapshots_from_csv, snapshots_to_csv
 from .environment import STANDARD_ROOMS, load_environment, make_environment
 from .hybrid import hybrid_position
@@ -70,6 +70,15 @@ def _parse_floats(text, n=None, what="values"):
     if n is not None and len(vals) != n:
         raise ValueError(f"expected {n} {what}, got {len(vals)}")
     return vals
+
+
+def _grid_step(text):
+    """The value of --grid-step, refused (exit 1, naming the flag) unless it divides 180."""
+    try:
+        grid_size(float(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return float(text)
 
 
 def _load_env(args):
@@ -180,22 +189,13 @@ def _cmd_train(args):
     yn = stats.normalize_targets(train_ds.targets)
     model = neural.build(args.model, xn, args.seed, args.rbf_centers)
     spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
-    history = neural.fit(model, xn, yn, spec, args.seed, ridge=args.ridge)
+    history = neural.fit([model], [xn], [yn], spec, [args.seed], ridge=args.ridge)[0]
     doc = neural.model_to_dict(model, norm=stats.to_dict())
     doc["split"] = {"train_fraction": args.train_fraction, "seed": args.split_seed}
     _write_json(args.out, doc)
-    train_mae = evaluate_mae(model, train_ds, stats).overall_mae_mm
-    test_mae = evaluate_mae(model, test_ds, stats).overall_mae_mm
-    _print_json(
-        {
-            "model": args.model,
-            "out": args.out,
-            "steps": int(history.size),
-            "final_loss": float(history[-1]),
-            "train_mae_mm": train_mae,
-            "test_mae_mm": test_mae,
-        }
-    )
+    train_mae, test_mae = (evaluate_mae(model, part, stats).overall_mae_mm for part in (train_ds, test_ds))
+    _print_json({"model": args.model, "out": args.out, "steps": int(history.size), "final_loss": float(history[-1]),
+                 "train_mae_mm": train_mae, "test_mae_mm": test_mae})
     return 0
 
 
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="source count")
     p.add_argument("--spacing", type=float, default=ArraySpec.spacing_wavelengths)
     # Finer than the sweep's music.grid_step_deg: one estimate, not one per sample.
-    p.add_argument("--grid-step", type=float, default=0.1)
+    p.add_argument("--grid-step", type=_grid_step, default=0.1)
     p.add_argument("--spectrum", help="also write the angle,power scan to this CSV")
     p.set_defaults(func=_cmd_aoa)
 

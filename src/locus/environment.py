@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_bound
+from .channel import check_bound, json_form, read_section
 
 # Default sign frames per anchor id. Anchor 1 adds both offsets, anchor 2
 # flips the y offset, anchor 3 flips both.
@@ -163,16 +163,11 @@ def jittered_grid(length, width, n, seed, margin_frac=0.12, jitter_frac=0.3):
     cw = (length - 2 * mx) / cols
     ch = (width - 2 * my) / rows
     rng = np.random.default_rng(seed)
-    jit = rng.uniform(-jitter_frac, jitter_frac, size=(rows * cols, 2))
-    points = []
-    i = 0
-    for r in range(rows):
-        for c in range(cols):
-            px = mx + (c + 0.5 + jit[i, 0]) * cw
-            py = my + (r + 0.5 + jit[i, 1]) * ch
-            points.append(Point2D(px, py))
-            i += 1
-    return points[:n]
+    jit = rng.uniform(-jitter_frac, jitter_frac, size=(rows * cols, 2))[:n]
+    # Row-major cells: point i sits in row i // cols, column i % cols.
+    r, c = np.divmod(np.arange(n), cols)
+    px, py = mx + (c + 0.5 + jit[:, 0]) * cw, my + (r + 0.5 + jit[:, 1]) * ch
+    return [Point2D(x, y) for x, y in zip(px.tolist(), py.tolist())]
 
 
 @dataclass(frozen=True)
@@ -209,25 +204,41 @@ def standard_environments() -> list[Environment]:
 
 
 def environment_to_dict(env: Environment) -> dict:
-    return {
-        "name": env.name,
-        "length_m": env.length,
-        "width_m": env.width,
-        "anchors": [
-            {"id": a.id, "x": a.position.x, "y": a.position.y, "sx": a.frame[0], "sy": a.frame[1]}
-            for a in env.anchors
-        ],
-        "test_points": [{"x": p.x, "y": p.y} for p in env.test_points],
-    }
+    anchors = tuple(AnchorEntry(a.id, a.position.x, a.position.y, *a.frame) for a in env.anchors)
+    return json_form(ListedRoom(env.name, env.length, env.width, anchors, env.test_points))
 
 
-def environment_from_dict(d: dict) -> Environment:
-    anchors = tuple(
-        Anchor(int(a["id"]), Point2D(float(a["x"]), float(a["y"])), (int(a["sx"]), int(a["sy"])))
-        for a in d["anchors"]
-    )
-    points = tuple(Point2D(float(p["x"]), float(p["y"])) for p in d["test_points"])
-    return Environment(str(d["name"]), float(d["length_m"]), float(d["width_m"]), anchors, points)
+@dataclass(frozen=True)
+class AnchorEntry:
+    """An anchor as a room file lists it: its id, position and sign frame."""
+
+    id: int
+    x: float
+    y: float
+    sx: int
+    sy: int
+
+
+@dataclass(frozen=True)
+class ListedRoom:
+    """A room as environment_to_dict writes it; its fields are the file's keys."""
+
+    name: str
+    length_m: float
+    width_m: float
+    anchors: tuple[AnchorEntry, ...]
+    test_points: tuple[Point2D, ...]
+
+    def environment(self) -> Environment:
+        anchors = tuple(Anchor(a.id, Point2D(a.x, a.y), (a.sx, a.sy)) for a in self.anchors)
+        return Environment(self.name, self.length_m, self.width_m, anchors, self.test_points)
+
+
+def environment_from_dict(d: dict, prefix: str = "") -> Environment:
+    """Inverse of environment_to_dict. Every key is read strictly (see
+    read_section): an unknown or missing key, or a value of the wrong type,
+    raises ValueError naming prefix + its path, such as anchors[0].zz."""
+    return read_section(ListedRoom, d, prefix).environment()
 
 
 def load_environment(path) -> Environment:

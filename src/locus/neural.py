@@ -29,22 +29,9 @@ KMEANS_ITERATIONS = 50
 WIDTH_FLOOR = 1e-6
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float
-    batch_size: int
-    iterations: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0 or not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning rate must be nonnegative, got {self.learning_rate}")
-        check_bound(self, 1, "batch_size", "iterations")
-
-
 @dataclass(frozen=True)
 class TrainSpec:
-    """The SGD settings of `fit` (the experiment config's `train` section)."""
+    """The SGD settings of `train` and `fit` (the experiment config's `train` section)."""
 
     learning_rate: float = 0.01
     batch_size: int = 32
@@ -61,8 +48,8 @@ class TrainResult:
     loss_history: np.ndarray
 
     @property
-    def final_loss(self) -> float:
-        return float(self.loss_history[-1])
+    def final_loss(self):
+        return self.loss_history[-1]
 
 
 def _xavier(rng, fan_in, fan_out, shape):
@@ -70,11 +57,19 @@ def _xavier(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+class Diverged(ValueError):
+    """A non-finite batch loss in train(); `member` is the stack index of the
+    first model at fault at the earliest such step (0 for a plain model)."""
+
+    member = 0
+
+
 def _mse_and_delta(pred, y):
+    """Per-member batch MSE and its gradient; pred and y are (..., n, 2)."""
     diff = pred - y
-    # The bits of np.mean(diff**2), without np.mean's per-call overhead.
-    loss = float((diff * diff).sum()) / diff.size
-    return loss, 2.0 * diff / diff.size
+    n_out = diff.shape[-2] * diff.shape[-1]
+    # Per member, the bits of np.mean(diff**2), without np.mean's per-call overhead.
+    return (diff * diff).sum(axis=(-2, -1)) / n_out, 2.0 * diff / n_out
 
 
 def _dims(arrays, name, ndim):
@@ -95,10 +90,16 @@ class Regressor:
     derived from the shapes of a few of them. The constructor checks the
     arrays against that layout and for finiteness, naming the bad array.
     Arrays named in `frozen` are left alone by training.
+
+    Regressor.stack(models) holds S models of one shape as one, each array
+    with a leading stack axis (lead = (S,)); its batches are (S, n, d) and its
+    loss one per member. The layers are written for both, so a plain model
+    (lead = ()) is the stack-less case.
     """
 
     family = "base"
     frozen: tuple[str, ...] = ()
+    lead: tuple[int, ...] = ()
 
     def __init__(self, arrays: dict):
         arrays = {name: np.asarray(a, dtype=float) for name, a in arrays.items()}
@@ -113,6 +114,14 @@ class Regressor:
             if _dims(arrays, name, len(shape)) != shape:
                 raise ValueError(f"model array {name!r} must have shape {shape}, got {arrays[name].shape}")
         self.arrays = {name: arrays[name] for name in shapes}
+
+    @classmethod
+    def stack(cls, models: list) -> "Regressor":
+        """One model whose arrays stack those of `models`, which share one layout."""
+        stacked = cls.__new__(cls)
+        stacked.input_dim, stacked.lead = models[0].input_dim, (len(models),)
+        stacked.arrays = {name: np.stack([m.arrays[name] for m in models]) for name in models[0].arrays}
+        return stacked
 
     @property
     def arch(self) -> dict:
@@ -133,12 +142,13 @@ class Regressor:
 
     def _check_batch(self, x, y=None):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"expected batch shape (n, {self.input_dim}), got {x.shape}")
+        if x.shape[:-2] != self.lead or x.ndim != len(self.lead) + 2 or x.shape[-1] != self.input_dim:
+            want = ", ".join(map(str, (*self.lead, "n", self.input_dim)))
+            raise ValueError(f"expected batch shape ({want}), got {x.shape}")
         if y is not None:
             y = np.asarray(y, dtype=float)
-            if y.shape != (x.shape[0], 2):
-                raise ValueError(f"expected targets shape ({x.shape[0]}, 2), got {y.shape}")
+            if y.shape != (*x.shape[:-1], 2):
+                raise ValueError(f"expected targets shape {(*x.shape[:-1], 2)}, got {y.shape}")
             return x, y
         return x
 
@@ -162,27 +172,25 @@ class MlpModel(Regressor):
         p = list(self.arrays.values())
         return p[0::2], p[1::2]
 
-    def forward_batch(self, x):
-        x = self._check_batch(x)
-        weights, biases = self._layers()
-        a = x
-        for w, b in zip(weights[:-1], biases[:-1]):
-            a = np.tanh(a @ w.T + b)
-        return a @ weights[-1].T + biases[-1]
-
-    def loss_and_gradients(self, x, y):
+    def _forward(self, x):
+        """The input and hidden activations, and the output."""
         weights, biases = self._layers()
         acts = [x]
-        a = x
         for w, b in zip(weights[:-1], biases[:-1]):
-            a = np.tanh(a @ w.T + b)
-            acts.append(a)
-        out = a @ weights[-1].T + biases[-1]
+            acts.append(np.tanh(acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]))
+        return acts, acts[-1] @ weights[-1].swapaxes(-1, -2) + biases[-1][..., None, :]
+
+    def forward_batch(self, x):
+        return self._forward(self._check_batch(x))[1]
+
+    def loss_and_gradients(self, x, y):
+        weights = self._layers()[0]
+        acts, out = self._forward(x)
         loss, delta = _mse_and_delta(out, y)
         grads = {}
         for l in range(len(weights) - 1, -1, -1):
-            grads[f"w{l}"] = delta.T @ acts[l]
-            grads[f"b{l}"] = delta.sum(axis=0)
+            grads[f"w{l}"] = delta.swapaxes(-1, -2) @ acts[l]
+            grads[f"b{l}"] = delta.sum(axis=-2)
             if l > 0:
                 delta = (delta @ weights[l]) * (1.0 - acts[l] ** 2)
         return loss, grads
@@ -255,11 +263,8 @@ def rbf_widths(centers: np.ndarray, data: np.ndarray | None = None) -> np.ndarra
             w = 1.0
         return np.array([max(w, WIDTH_FLOOR)])
     d = np.sqrt(np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2))
-    widths = np.empty(k)
-    for j in range(k):
-        others = np.sort(d[j][np.arange(k) != j])
-        widths[j] = others[: min(2, k - 1)].mean()
-    return np.maximum(widths, WIDTH_FLOOR)
+    # Each sorted row starts with the center's zero distance to itself.
+    return np.maximum(np.sort(d, axis=1)[:, 1 : 1 + min(2, k - 1)].mean(axis=1), WIDTH_FLOOR)
 
 
 class RbfModel(Regressor):
@@ -314,22 +319,22 @@ def fit_rbf_output(model: RbfModel, x: np.ndarray, y: np.ndarray, ridge=RIDGE_DE
 
 def _unfold(x, kw):
     """im2col for a valid 1-d convolution of width kw (Chellapilla et al. 2006):
-    x (n, L, cin) -> (n * L', kw * cin) with L' = L - kw + 1, where row
-    (i, t) holds the window x[i, t : t + kw, :] flattened tap by tap."""
-    n, length, cin = x.shape
+    x (..., n, L, cin) -> (..., n * L', kw * cin) with L' = L - kw + 1, where
+    row (i, t) holds the window x[..., i, t : t + kw, :] flattened tap by tap."""
+    *lead, n, length, cin = x.shape
     lout = length - kw + 1
-    return np.concatenate([x[:, k : k + lout, :] for k in range(kw)], axis=2).reshape(n * lout, kw * cin)
+    return np.concatenate([x[..., k : k + lout, :] for k in range(kw)], axis=-1).reshape(*lead, n * lout, kw * cin)
 
 
 def _conv1d(x, w, b):
     """Valid 1-d convolution as one matmul on the unfolded input.
 
-    x: (n, L, cin), w: (kw, cin, cout) -> (unfold(x), output (n, L - kw + 1, cout));
-    backprop reuses the unfolded input.
+    x: (..., n, L, cin), w: (..., kw, cin, cout) -> (unfold(x), output
+    (..., n, L - kw + 1, cout)); backprop reuses the unfolded input.
     """
-    kw, _, cout = w.shape
+    kw, _, cout = w.shape[-3:]
     u = _unfold(x, kw)
-    return u, (u @ w.reshape(-1, cout) + b).reshape(x.shape[0], -1, cout)
+    return u, (u @ w.reshape(*w.shape[:-3], -1, cout) + b[..., None, :]).reshape(*x.shape[:-2], -1, cout)
 
 
 class CnnModel(Regressor):
@@ -353,18 +358,17 @@ class CnnModel(Regressor):
 
     def _forward_cached(self, x):
         cw0, cb0, cw1, cb1, w0, b0, w1, b1 = self.arrays.values()
-        u0, z1 = _conv1d(x[:, :, None], cw0, cb0)
+        u0, z1 = _conv1d(x[..., None], cw0, cb0)
         a1 = np.tanh(z1)
         u1, z2 = _conv1d(a1, cw1, cb1)
         a2 = np.tanh(z2)
-        f = a2.reshape(x.shape[0], -1)
-        h1 = f @ w0.T + b0
-        out = h1 @ w1.T + b1
+        f = a2.reshape(*x.shape[:-1], -1)
+        h1 = f @ w0.swapaxes(-1, -2) + b0[..., None, :]
+        out = h1 @ w1.swapaxes(-1, -2) + b1[..., None, :]
         return u0, a1, u1, a2, f, h1, out
 
     def forward_batch(self, x):
-        x = self._check_batch(x)
-        return self._forward_cached(x)[-1]
+        return self._forward_cached(self._check_batch(x))[-1]
 
     def loss_and_gradients(self, x, y):
         cw0, _, cw1, _, w0, _, w1, _ = self.arrays.values()
@@ -372,27 +376,27 @@ class CnnModel(Regressor):
         loss, delta = _mse_and_delta(out, y)
         d_h1 = delta @ w1
         d_f = d_h1 @ w0
-        kw1, f0, f1 = cw1.shape
-        n, l2, _ = a2.shape
-        d_z2 = (d_f.reshape(a2.shape) * (1.0 - a2**2)).reshape(-1, f1)
+        kw1, f0, f1 = cw1.shape[-3:]
+        *lead, n, l2, _ = a2.shape
+        d_z2 = (d_f.reshape(a2.shape) * (1.0 - a2**2)).reshape(*lead, -1, f1)
         # The input gradient of a convolution is dZ @ W^T on the unfolded
         # windows, folded back by summing each tap's slice where windows overlap.
-        d_u1 = (d_z2 @ cw1.reshape(-1, f1).T).reshape(n, l2, kw1, f0)
+        d_u1 = (d_z2 @ cw1.reshape(*lead, -1, f1).swapaxes(-1, -2)).reshape(*lead, n, l2, kw1, f0)
         d_a1 = np.empty_like(a1)
-        d_a1[:, :l2, :] = d_u1[:, :, 0, :]
-        d_a1[:, l2:, :] = 0.0
+        d_a1[..., :l2, :] = d_u1[..., 0, :]
+        d_a1[..., l2:, :] = 0.0
         for k in range(1, kw1):
-            d_a1[:, k : k + l2, :] += d_u1[:, :, k, :]
-        d_z1 = (d_a1 * (1.0 - a1**2)).reshape(-1, f0)
+            d_a1[..., k : k + l2, :] += d_u1[..., k, :]
+        d_z1 = (d_a1 * (1.0 - a1**2)).reshape(*lead, -1, f0)
         grads = {
-            "w1": delta.T @ h1,
-            "b1": delta.sum(axis=0),
-            "w0": d_h1.T @ f,
-            "b0": d_h1.sum(axis=0),
-            "cw1": (u1.T @ d_z2).reshape(cw1.shape),
-            "cb1": d_z2.sum(axis=0),
-            "cw0": (u0.T @ d_z1).reshape(cw0.shape),
-            "cb0": d_z1.sum(axis=0),
+            "w1": delta.swapaxes(-1, -2) @ h1,
+            "b1": delta.sum(axis=-2),
+            "w0": d_h1.swapaxes(-1, -2) @ f,
+            "b0": d_h1.sum(axis=-2),
+            "cw1": (u1.swapaxes(-1, -2) @ d_z2).reshape(cw1.shape),
+            "cb1": d_z2.sum(axis=-2),
+            "cw0": (u0.swapaxes(-1, -2) @ d_z1).reshape(cw0.shape),
+            "cb0": d_z1.sum(axis=-2),
         }
         return loss, grads
 
@@ -419,35 +423,43 @@ def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, s
 FAMILIES = {cls.family: cls for cls in (MlpModel, RbfModel, CnnModel)}
 
 
-def train(model: Regressor, x, y, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch SGD for exactly cfg.iterations steps.
+def train(model: Regressor, x, y, spec: TrainSpec, steps: int, seeds) -> TrainResult:
+    """Mini-batch SGD for exactly `steps` steps, of one model or of a stack.
 
-    Sample order reshuffles at every epoch boundary from one generator
-    seeded with cfg.seed, so a fixed seed reproduces the loss history
-    bit for bit. The recorded loss is the batch loss before each update.
-    Shapes are checked once here; a non-finite batch loss raises ValueError
-    naming the family and the step.
+    A stack of S members (see Regressor.stack) trains on x (S, n, d) and
+    y (S, n, 2) with one seed per member; a plain model takes one seed. Each
+    member's sample order reshuffles at every epoch boundary from a generator
+    seeded with its seed, so a member gets the bits it would get trained
+    alone. The recorded loss is the batch loss before each update, one row per
+    step. Shapes are checked once here; a non-finite batch loss raises
+    Diverged naming the family and the step.
     """
     x, y = model._check_batch(x, y)
-    if x.shape[0] < 1:
-        raise ValueError("training data must be non-empty")
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    lr = cfg.learning_rate
+    n = x.shape[-2]
+    if n < 1 or not steps >= 1:
+        raise ValueError(f"training needs at least one row and one step, got {n} rows and {steps} steps")
+    rngs = [np.random.default_rng(seed) for seed in (seeds if model.lead else [seeds])]
+    if len(rngs) != math.prod(model.lead):
+        raise ValueError(f"expected one seed per stack member, got {len(rngs)} for {math.prod(model.lead)}")
+    lr = spec.learning_rate
     params = model.params()
-    history = np.empty(cfg.iterations)
+    history = np.empty((steps, *model.lead))
     pos = n
-    # Overflow on the way to a non-finite loss is reported by the ValueError below.
+    # Overflow on the way to a non-finite loss is reported by the Diverged below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.iterations):
+        for step in range(steps):
             if pos >= n:
-                order = rng.permutation(n)
-                xs, ys = x[order], y[order]
+                # One gather of every member's epoch order.
+                order = np.array([rng.permutation(n) for rng in rngs]).reshape(*model.lead, n, 1)
+                xs, ys = np.take_along_axis(x, order, -2), np.take_along_axis(y, order, -2)
                 pos = 0
-            end = pos + cfg.batch_size
-            loss, grads = model.loss_and_gradients(xs[pos:end], ys[pos:end])
-            if not math.isfinite(loss):
-                raise ValueError(f"{model.family} training diverged: non-finite batch loss at step {step}")
+            end = pos + spec.batch_size
+            loss, grads = model.loss_and_gradients(xs[..., pos:end, :], ys[..., pos:end, :])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                err = Diverged(f"{model.family} training diverged: non-finite batch loss at step {step}")
+                err.member = int(np.argmin(finite))
+                raise err
             pos = end
             for name, g in grads.items():
                 g *= lr  # in place; the same bits as params[name] -= lr * g
@@ -471,15 +483,20 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def fit(model: Regressor, x, y, spec: TrainSpec, seed: int, ridge=RIDGE_DEFAULT) -> np.ndarray:
-    """Fit a built model in place; returns the loss history. RBF solves its
-    output layer by ridge least squares (the history is that one MSE); the
-    other families run SGD for spec.epochs * ceil(n / spec.batch_size) steps."""
-    if isinstance(model, RbfModel):
-        return np.array([fit_rbf_output(model, x, y, ridge=ridge)])
-    steps = spec.epochs * math.ceil(len(x) / spec.batch_size)
-    cfg = TrainConfig(learning_rate=spec.learning_rate, batch_size=spec.batch_size, iterations=steps, seed=seed)
-    return train(model, x, y, cfg).loss_history
+def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT) -> list[np.ndarray]:
+    """Fit built models of one family in place, model k on rows xs[k], ys[k]
+    from seeds[k]; returns their loss histories. RBF solves each output layer
+    by ridge least squares (the history is that one MSE). The other families
+    need rows of one shape: they train as one stack (see train), for
+    spec.epochs * ceil(n / spec.batch_size) steps, and keep views of its arrays."""
+    if isinstance(models[0], RbfModel):
+        return [np.array([fit_rbf_output(m, x, y, ridge=ridge)]) for m, x, y in zip(models, xs, ys)]
+    stack = type(models[0]).stack(models)
+    steps = spec.epochs * math.ceil(len(xs[0]) / spec.batch_size)
+    history = train(stack, np.stack(xs), np.stack(ys), spec, steps, seeds).loss_history
+    for k, m in enumerate(models):
+        m.arrays = {name: a[k] for name, a in stack.arrays.items()}
+    return list(history.T)
 
 
 def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
@@ -488,11 +505,6 @@ def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
     Perturbs every parameter entry in place (restoring it afterwards) and
     compares (L(p+h) - L(p-h)) / 2h against the analytic gradient.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-        y = y[None, :] if y.ndim == 1 else y
     x, y = model._check_batch(x, y)
     params = model.params()
     _, grads = model.loss_and_gradients(x, y)

@@ -22,16 +22,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, check_bound, expected_rssi, per_anchor_params, simulate_snapshots
-from .environment import Environment, GridRoom, Point2D, environment_from_dict, environment_to_dict, true_aoa, true_distance
-from .aoa import estimate_aoa
+from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
+from .environment import Environment, GridRoom, ListedRoom, Point2D, environment_from_dict, environment_to_dict, true_aoa, true_distance
+from .aoa import estimate_aoa, grid_size
 from .hybrid import hybrid_position
 from .neural import TrainSpec
 from .trilat import rssi_distances, trilaterate
@@ -43,6 +42,10 @@ REDRAW_CAP = 100
 
 # Keep loss_history.csv bounded: at most about this many rows per run.
 _HISTORY_ROWS = 400
+# Models per SGD stack. Past about ten, a CNN step's arrays outgrow the
+# caches: at batch 32 and input width 6, a model-step took 82 us in a stack
+# of 10 and 94 us in one of 30 (one core of a shared 2-core x86 host).
+STACK_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class MusicSpec(ArraySpec):
 
     def __post_init__(self):
         super().__post_init__()
-        check_bound(self, 0, "grid_step_deg", strict=True)
+        grid_size(self.grid_step_deg, "grid_step_deg")
 
 
 @dataclass(frozen=True)
@@ -162,22 +165,10 @@ class Dataset:
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "format": "locus-dataset",
-        "version": 1,
-        "environment": environment_to_dict(ds.env),
-        "layout": ds.layout,
-        "seed": ds.seed,
-        "rejects": ds.rejects,
-        "samples": [
-            {
-                "point_id": int(pid),
-                "features": [float(v) for v in feat],
-                "target": [float(t[0]), float(t[1])],
-            }
-            for pid, feat, t in zip(ds.point_ids, ds.features, ds.targets)
-        ],
-    }
+    samples = [{"point_id": int(pid), "features": feat.tolist(), "target": t.tolist()}
+               for pid, feat, t in zip(ds.point_ids, ds.features, ds.targets)]
+    return {"format": "locus-dataset", "version": 1, "environment": environment_to_dict(ds.env),
+            "layout": ds.layout, "seed": ds.seed, "rejects": ds.rejects, "samples": samples}
 
 
 def dataset_from_dict(d: dict) -> Dataset:
@@ -207,15 +198,8 @@ def dataset_from_dict(d: dict) -> Dataset:
             if row is None or row.shape != out.shape[1:] or not np.isfinite(row).all():
                 raise ValueError(f"dataset sample {i}: {key!r} must be a list of {out.shape[1]} finite numbers")
             out[i] = row
-    return Dataset(
-        env=environment_from_dict(d["environment"]),
-        layout=d["layout"],
-        seed=int(d["seed"]),
-        features=features,
-        targets=targets,
-        point_ids=point_ids,
-        rejects=int(d.get("rejects", 0)),
-    )
+    env = environment_from_dict(d["environment"], "environment.")
+    return Dataset(env, d["layout"], int(d["seed"]), features, targets, point_ids, int(d.get("rejects", 0)))
 
 
 def generate_dataset(
@@ -509,63 +493,15 @@ class ExperimentConfig:
         return generate_dataset(spec.env, list(spec.params), spec.nlos, self.n_per_point, layout, self.outlier, seed, self.aoa)
 
 
-def _section(cls, doc, prefix: str, **built):
-    """cls from the JSON object doc, whose keys are the fields of cls less those in built.
-
-    Each value is cast to its field's type, a nested section is read the same
-    way, and a field left out keeps its default. An unknown or missing key, a
-    value of the wrong type, a non-finite number, or a value that cls rejects
-    raises ValueError naming prefix + key: every config class's check starts
-    its message with the field's name.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {doc!r}")
-    hints = typing.get_type_hints(cls)
-    kwargs = dict(built)
-    for key, value in doc.items():
-        if key not in hints or key in built:
-            raise ValueError(f"unknown config key {prefix}{key}")
-        kwargs[key] = _cast(value, hints[key], prefix + key)
-    for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING:
-            raise ValueError(f"missing config key {prefix}{f.name}")
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        raise ValueError(f"{prefix}{e}") from e
-
-
-def _cast(value, hint, key: str):
-    """value as the type hint of config key `key` (see _section)."""
-    if is_dataclass(hint):
-        return _section(hint, value, key + ".")
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{key} must be a list, got {value!r}")
-        return tuple(_cast(v, typing.get_args(hint)[0], f"{key}[{i}]") for i, v in enumerate(value))
-    if hint is str:
-        ok = isinstance(value, str)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-        ok = ok and (hint is float or value == int(value))
-    if not ok:
-        want = {float: "a finite number", int: "an integer", str: "a string"}[hint]
-        raise ValueError(f"{key} must be {want}, got {value!r}")
-    return hint(value)
-
-
 def path_loss_from_dict(doc, where: str = "path_loss") -> tuple[PathLossParams, PathLossParams, PathLossParams]:
     """Per-anchor parameters from a path-loss document: one object
     {gamma, sigma, p_r_d0[, d0]} shared by all anchors, or a list of three.
     A bad entry raises ValueError naming where and the key."""
     if not isinstance(doc, list):
-        return (_section(PathLossParams, doc, where + "."),) * 3
+        return (read_section(PathLossParams, doc, where + "."),) * 3
     if len(doc) != 3:
         raise ValueError(f"{where} needs 3 entries, one per anchor, got {len(doc)}")
-    return tuple(_section(PathLossParams, d, f"{where}[{i}].") for i, d in enumerate(doc))
-
-
-_LISTED_ROOM_KEYS = ("name", "length_m", "width_m", "anchors", "test_points")
+    return tuple(read_section(PathLossParams, d, f"{where}[{i}].") for i, d in enumerate(doc))
 
 
 def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
@@ -578,15 +514,11 @@ def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
     built = dict(shared)
     if "path_loss" in room:
         built["params"] = path_loss_from_dict(room.pop("path_loss"), f"{where}.path_loss")
-    built["nlos"] = _section(NlosModel, room.pop("nlos", {}), f"{where}.nlos.")
-    grid = None
-    if "anchors" not in room:
-        grid = _section(GridRoom, room, where + ".")
-    elif unknown := [key for key in room if key not in _LISTED_ROOM_KEYS]:
-        raise ValueError(f"unknown config key {where}.{unknown[0]}")
+    built["nlos"] = read_section(NlosModel, room.pop("nlos", {}), f"{where}.nlos.")
+    shape = read_section(ListedRoom if "anchors" in room else GridRoom, room, where + ".")
     try:
-        env = environment_from_dict(room) if grid is None else grid.environment()
-    except (KeyError, TypeError, ValueError) as e:
+        env = shape.environment()
+    except ValueError as e:
         raise ValueError(f"{where}: {e!s}") from e
     return EnvSpec(env, **built)
 
@@ -594,7 +526,7 @@ def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
 def load_config(source) -> ExperimentConfig:
     """The sweep of a JSON config file path or an already-parsed dict.
 
-    Every key is checked before anything runs (see _section). Only
+    Every key is checked before anything runs (see channel.read_section). Only
     `aoa_mode`/`aoa_noise_deg`, which fill an AoaSim with the `music`
     section, and `environments` with the shared `path_loss` are read by hand.
     """
@@ -610,27 +542,20 @@ def load_config(source) -> ExperimentConfig:
     shared = {"params": path_loss_from_dict(cfg.pop("path_loss"))} if "path_loss" in cfg else {}
     envs = tuple(_env_spec(room, f"environments[{i}]", shared) for i, room in enumerate(rooms))
     aoa = {key: cfg.pop("aoa_" + key) for key in ("mode", "noise_deg") if "aoa_" + key in cfg}
-    music = _section(MusicSpec, cfg.pop("music", {}), "music.")
-    return _section(ExperimentConfig, cfg, "", envs=envs, aoa=_section(AoaSim, aoa, "aoa_", music=music))
+    music = read_section(MusicSpec, cfg.pop("music", {}), "music.")
+    return read_section(ExperimentConfig, cfg, "", envs=envs, aoa=read_section(AoaSim, aoa, "aoa_", music=music))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The JSON form of a config, which load_config reads back to an equal one."""
-    doc = {f.name: _json_form(getattr(config, f.name)) for f in fields(config) if f.name not in ("envs", "aoa")}
-    aoa = _json_form(config.aoa)
+    doc = {f.name: json_form(getattr(config, f.name)) for f in fields(config) if f.name not in ("envs", "aoa")}
+    aoa = json_form(config.aoa)
     doc.update(aoa_mode=aoa["mode"], aoa_noise_deg=aoa["noise_deg"], music=aoa["music"])
     doc["environments"] = [
-        {**environment_to_dict(spec.env), "nlos": _json_form(spec.nlos), "path_loss": _json_form(spec.params)}
+        {**environment_to_dict(spec.env), "nlos": json_form(spec.nlos), "path_loss": json_form(spec.params)}
         for spec in config.envs
     ]
     return doc
-
-
-def _json_form(value):
-    """A config value as JSON data: a section as the dict of its fields, a tuple as a list."""
-    if is_dataclass(value):
-        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
-    return [_json_form(v) for v in value] if isinstance(value, tuple) else value
 
 
 def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -642,60 +567,60 @@ def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[t
     return state[0], state[1], list(zip(state[2::2], state[3::2]))
 
 
-def _run_cell(config: ExperimentConfig, env_idx: int, seed: int) -> dict:
-    """One (environment, seed) cell: shared dataset, all layouts and models."""
-    spec = config.envs[env_idx]
-    dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
-    ds_hybrid = config.dataset(spec, dataset_seed)
-    tr_h, te_h = split(ds_hybrid, config.train_fraction, seed=split_seed)
-    baselines = {
-        "trilat": trilat_baseline_mae_mm(spec.env, list(spec.params), te_h),
-        "hybrid_closed_form": hybrid_baseline_mae_mm(spec.env, list(spec.params), te_h),
-    }
-
-    runs = []
-    for layout in config.layouts:
-        # The rssi layout sees the same draws and split, minus the AoA columns.
-        tr, te = (tr_h, te_h) if layout == "hybrid" else (tr_h.project_rssi(), te_h.project_rssi())
-        stats = NormStats.fit(tr)
-        xn = stats.normalize_features(tr.features)
-        yn = stats.normalize_targets(tr.targets)
-        for family, (init_seed, train_seed) in zip(config.models, model_seeds):
-            model = neural.build(family, xn, init_seed, config.rbf_centers)
-            untrained = evaluate_mae(model, te, stats)
-            try:
-                history = neural.fit(model, xn, yn, config.train, train_seed)
-            except ValueError as e:
-                raise ValueError(f"{spec.env.name} seed {seed} layout {layout}: {e}") from e
-            trained = evaluate_mae(model, te, stats)
-            stride = max(1, history.size // _HISTORY_ROWS)
-            runs.append(
-                {
-                    "environment": spec.env.name,
-                    "seed": seed,
-                    "layout": layout,
-                    "model": family,
-                    "mae_mm": trained.overall_mae_mm,
-                    "untrained_mae_mm": untrained.overall_mae_mm,
-                    "per_point_mae_mm": {str(k): v for k, v in trained.per_point_mae_mm.items()},
-                    "final_loss": float(history[-1]),
-                    "steps": int(history.size),
-                    "loss_history": [
-                        [int(s), float(history[s])] for s in range(0, history.size, stride)
-                    ],
-                }
-            )
-    return {
-        "environment": spec.env.name,
-        "seed": seed,
-        "rejects": ds_hybrid.rejects,
-        "baselines": baselines,
-        "runs": runs,
-    }
+def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
+    """The (environment index, seed) cells, in order: each cell's dataset,
+    split, baselines and models, with RBF solved per cell; then, per layout,
+    family and training shape, one neural.fit per STACK_LIMIT cells, which
+    trains their SGD models as one stack."""
+    results, groups = [], {}
+    for env_idx, seed in cells:
+        spec = config.envs[env_idx]
+        dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
+        ds_hybrid = config.dataset(spec, dataset_seed)
+        tr_h, te_h = split(ds_hybrid, config.train_fraction, seed=split_seed)
+        params = list(spec.params)
+        baselines = {
+            "trilat": trilat_baseline_mae_mm(spec.env, params, te_h),
+            "hybrid_closed_form": hybrid_baseline_mae_mm(spec.env, params, te_h),
+        }
+        cell = {"environment": spec.env.name, "seed": seed, "rejects": ds_hybrid.rejects, "baselines": baselines, "runs": []}
+        results.append(cell)
+        for layout in config.layouts:
+            # The rssi layout sees the same draws and split, minus the AoA columns.
+            tr, te = (tr_h, te_h) if layout == "hybrid" else (tr_h.project_rssi(), te_h.project_rssi())
+            stats = NormStats.fit(tr)
+            xn, yn = stats.normalize_features(tr.features), stats.normalize_targets(tr.targets)
+            for family, (init_seed, train_seed) in zip(config.models, model_seeds):
+                model = neural.build(family, xn, init_seed, config.rbf_centers)
+                # The run's row, filled in once its model is fitted.
+                row = {"environment": spec.env.name, "seed": seed, "layout": layout, "model": family,
+                       "untrained_mae_mm": evaluate_mae(model, te, stats).overall_mae_mm}
+                cell["runs"].append(row)
+                if family == "rbf":
+                    _fit_jobs(config, [(row, model, xn, yn, train_seed, te, stats)])
+                else:
+                    groups.setdefault((layout, family, xn.shape), []).append((row, model, xn, yn, train_seed, te, stats))
+    for group in groups.values():
+        for i in range(0, len(group), STACK_LIMIT):
+            _fit_jobs(config, group[i : i + STACK_LIMIT])
+    return results
 
 
-def _cell_worker(args):
-    return _run_cell(*args)
+def _fit_jobs(config: ExperimentConfig, jobs):
+    """Fit jobs (row, model, x, y, train seed, test split, stats) of one family and
+    training shape in one neural.fit, and fill in their rows."""
+    _, models, xs, ys, seeds, _, _ = zip(*jobs)
+    try:
+        histories = neural.fit(models, xs, ys, config.train, seeds)
+    except neural.Diverged as e:
+        row = jobs[e.member][0]
+        raise ValueError(f"{row['environment']} seed {row['seed']} layout {row['layout']}: {e}") from e
+    for (row, model, *_, te, stats), history in zip(jobs, histories):
+        trained = evaluate_mae(model, te, stats)
+        stride = max(1, history.size // _HISTORY_ROWS)
+        row.update(mae_mm=trained.overall_mae_mm, final_loss=float(history[-1]), steps=int(history.size),
+                   per_point_mae_mm={str(k): v for k, v in trained.per_point_mae_mm.items()},
+                   loss_history=[[int(s), float(history[s])] for s in range(0, history.size, stride)])
 
 
 class UsageError(ValueError):
@@ -718,42 +643,34 @@ def worker_count(n_cells: int) -> int:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Full sweep; returns the report dict and optionally writes the table files.
 
-    Cells (environment x seed) are independent. LOCUS_THREADS > 1 runs them
-    in worker processes (see worker_count); results are identical either way.
+    LOCUS_THREADS > 1 splits the cells (environment x seed) into contiguous
+    chunks, one worker process each (see worker_count); results are identical.
     """
-    cells = [(config, ei, s) for ei in range(len(config.envs)) for s in config.seeds]
+    cells = [(ei, s) for ei in range(len(config.envs)) for s in config.seeds]
     workers = worker_count(len(cells))
     if workers > 1:
+        chunks = [cells[i * len(cells) // workers : (i + 1) * len(cells) // workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_results = list(pool.map(_cell_worker, cells))
+            cell_results = [r for part in pool.map(_run_cells, [config] * workers, chunks) for r in part]
     else:
-        cell_results = [_run_cell(*c) for c in cells]
+        cell_results = _run_cells(config, cells)
 
     runs = [r for cell in cell_results for r in cell["runs"]]
-    baselines = [
-        {"environment": c["environment"], "seed": c["seed"], **c["baselines"]}
-        for c in cell_results
-    ]
+    baselines = [{"environment": c["environment"], "seed": c["seed"], **c["baselines"]} for c in cell_results]
 
     env_names = [spec.env.name for spec in config.envs]
-    mae_table = {}
-    for name in env_names:
-        row = {}
-        for family in config.models:
-            for layout in config.layouts:
-                vals = [
-                    r["mae_mm"]
-                    for r in runs
-                    if r["environment"] == name and r["model"] == family and r["layout"] == layout
-                ]
-                row[f"{family}_{layout}"] = float(np.mean(vals))
-        mae_table[name] = row
+    mae_table = {
+        name: {
+            f"{f}_{l}": float(np.mean([r["mae_mm"] for r in runs if (r["environment"], r["model"], r["layout"]) == (name, f, l)]))
+            for f in config.models
+            for l in config.layouts
+        }
+        for name in env_names
+    }
     improvement = {}
     if "rssi" in config.layouts and "hybrid" in config.layouts:
         for name, row in mae_table.items():
-            improvement[name] = {
-                m: improvement_percent(row[f"{m}_rssi"], row[f"{m}_hybrid"]) for m in config.models
-            }
+            improvement[name] = {m: improvement_percent(row[f"{m}_rssi"], row[f"{m}_hybrid"]) for m in config.models}
     baseline_table = {
         name: {key: float(np.mean([b[key] for b in baselines if b["environment"] == name])) for key in ("trilat", "hybrid_closed_form")}
         for name in env_names

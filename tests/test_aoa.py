@@ -105,6 +105,24 @@ def test_angle_grid_contract():
         angle_grid(0.0)
 
 
+@pytest.mark.parametrize("step", [0.25, 0.1, 0.5, 1.0, 0.05, 180.0 / 7])
+def test_angle_grid_keeps_the_oracle_points(step):
+    """A step that divides 180 gives round(180 / step) + 1 points from -90 to +90."""
+    n = round(180 / step)
+    g = angle_grid(step)
+    assert g.tobytes() == (-90.0 + step * np.arange(n + 1)).tobytes()
+    assert (g[0], g[-1]) == (-90.0, 90.0)
+
+
+@pytest.mark.parametrize("step", [1.1, 7.0, 0.7, 200.0, 360.0, -1.0, math.nan, math.inf, 5e-324])
+def test_angle_grid_refuses_a_step_that_does_not_divide_180(step):
+    with pytest.raises(ValueError, match="grid step must be a positive divisor of 180 degrees"):
+        angle_grid(step)
+    x = simulate_snapshots(ArraySpec(8, 0.5, 32), [SourceSpec(10.0, 0.0)], noise_power_db=-20.0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="grid step must be a positive divisor"):
+        estimate_aoa(x, 1, grid_step_deg=step)
+
+
 def test_noiseless_orthogonality_and_floor():
     spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=128)
     rng = np.random.default_rng(6)

@@ -13,7 +13,7 @@ import pytest
 from locus import cli, pipeline
 from locus.channel import PathLossParams, expected_rssi
 from locus.cli import main
-from locus.environment import Point2D, make_environment, true_aoa, true_distance
+from locus.environment import Point2D, environment_to_dict, make_environment, true_aoa, true_distance
 from locus.pipeline import OutlierPolicy, generate_dataset, load_config
 
 PARAMS = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
@@ -237,6 +237,33 @@ def test_snapshots_to_aoa_roundtrip(capsys, tmp_path):
     assert len(lines) == 1 + 361  # half-degree grid over [-90, 90]
 
 
+def test_aoa_grid_step_must_divide_180(capsys, tmp_path):
+    snap = tmp_path / "snap.csv"
+    assert _run(capsys, ["simulate", "snapshots", "--angles=17.3", "--snapshots", "32", "--out", str(snap)])[0] == 0
+    for step in ("1.1", "7", "0", "nan"):
+        with pytest.raises(SystemExit) as e:
+            main(["aoa", "--input", str(snap), "--grid-step", step])
+        out, err = capsys.readouterr()
+        assert e.value.code == 1, step
+        assert out == "" and "--grid-step" in err and "divisor of 180" in err, err
+    code, out, _ = _run(capsys, ["aoa", "--input", str(snap), "--grid-step", "0.25"])
+    assert code == 0 and json.loads(out)["angles_deg"][0] == pytest.approx(17.3, abs=0.5)
+
+
+def test_environment_file_is_read_strictly(capsys, tmp_path):
+    doc = environment_to_dict(make_environment("room", 10.0, 8.0, [Point2D(3.0, 4.0)]))
+    for path, value, key in ((("anchors", 0, "zz"), 1, "anchors[0].zz"), (("test_points", 0, "y"), "4", "test_points[0].y"),
+                             (("anchors", 1, "id"), True, "anchors[1].id"), (("name",), 7, "name")):
+        bad = copy.deepcopy(doc)
+        _set(bad, path, value)
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps(bad))
+        code, out, err = _run(capsys, ["locate", "--env", str(env), "--gamma", "2.5", "--p-r-d0", "-40", "--rssi=-60,-60,-60"])
+        assert code == 2 and out == "" and key in err, (key, err)
+    env.write_text(json.dumps(doc))
+    assert _run(capsys, ["locate", "--env", str(env), "--gamma", "2.5", "--p-r-d0", "-40", "--rssi=-60,-60,-60"])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # dataset / train / predict / eval chain
 
@@ -393,7 +420,7 @@ def test_report_bad_locus_threads_exits_1(capsys, tmp_path, monkeypatch, value):
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+    monkeypatch.setattr(pipeline, "_run_cells", no_cell)
     monkeypatch.setenv("LOCUS_THREADS", value)
     out_dir = tmp_path / "rep"
     code, _, err = _run(capsys, ["report", "--config", _config_file(tmp_path), "--out", str(out_dir)])
@@ -425,6 +452,7 @@ BAD_CONFIGS = [
     ("seeds-negative", ("seeds",), [0, -1], "seeds"),
     ("seeds-empty", ("seeds",), [], "seeds"),
     ("grid_step_deg", ("music", "grid_step_deg"), 0.0, "music.grid_step_deg"),
+    ("grid_step_off_90", ("music", "grid_step_deg"), 1.1, "music.grid_step_deg"),
     ("n_points", ("environments", 0, "n_points"), 0, "environments[0].n_points"),
 ]
 
@@ -441,7 +469,7 @@ def test_bad_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, comman
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+    monkeypatch.setattr(pipeline, "_run_cells", no_cell)
     doc = json.loads(open(_config_file(tmp_path)).read())
     _set_key(doc, path, value)
     cfg = tmp_path / "bad.json"
@@ -545,6 +573,10 @@ BAD_DATASETS = [
     ("text_feature", ("samples", 2, "features", 0), "loud", ["sample 2", "'features'"]),
     ("missing_point_id", ("samples", 3, "point_id"), _DELETE, ["sample 3", "'point_id'"]),
     ("negative_point_id", ("samples", 5, "point_id"), -1, ["sample 5", "'point_id'", "nonnegative"]),
+    ("env_unknown_key", ("environment", "anchors", 0, "zz"), 1, ["environment.anchors[0].zz"]),
+    ("env_text_number", ("environment", "test_points", 1, "x"), "2.5", ["environment.test_points[1].x", "finite number"]),
+    ("env_bool_sign", ("environment", "anchors", 2, "sx"), True, ["environment.anchors[2].sx", "integer"]),
+    ("env_missing_key", ("environment", "anchors", 1, "y"), _DELETE, ["environment.anchors[1].y", "missing"]),
 ]
 
 

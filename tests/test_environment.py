@@ -137,6 +137,25 @@ def test_jittered_grid_count_bounds_determinism():
     assert any(a.x != b.x for a, b in zip(pts, different))
 
 
+def _jittered_grid_loop(length, width, n, seed, margin_frac=0.12, jitter_frac=0.3):
+    """The cell-by-cell loop: row-major cells, one jitter pair each."""
+    rows = max(1, int(round(math.sqrt(n * width / length))))
+    cols = int(math.ceil(n / rows))
+    mx, my = margin_frac * length, margin_frac * width
+    cw, ch = (length - 2 * mx) / cols, (width - 2 * my) / rows
+    jit = np.random.default_rng(seed).uniform(-jitter_frac, jitter_frac, size=(rows * cols, 2))
+    points = [Point2D(mx + (c + 0.5 + jit[r * cols + c, 0]) * cw, my + (r + 0.5 + jit[r * cols + c, 1]) * ch)
+              for r in range(rows) for c in range(cols)]
+    return points[:n]
+
+
+@pytest.mark.parametrize("length,width", [(13.0, 13.0), (12.0, 4.0), (9.0, 7.0), (3.0, 30.0)])
+def test_jittered_grid_matches_the_cell_loop(length, width):
+    for n in (1, 7, 10, 25):
+        for seed in range(3):
+            assert jittered_grid(length, width, n, seed) == _jittered_grid_loop(length, width, n, seed)
+
+
 def test_jittered_grid_margin():
     """Points stay clear of the walls by the margin even at max jitter."""
     for seed in range(20):
@@ -166,6 +185,38 @@ def test_environment_dict_roundtrip(tmp_path):
     d = environment_to_dict(env)
     back = environment_from_dict(json.loads(json.dumps(d)))
     assert back == env
+
+
+@pytest.mark.parametrize(
+    "path,value,words",
+    [
+        (("anchors", 0, "zz"), 1, "unknown config key anchors[0].zz"),
+        (("test_points", 2, "zz"), 1, "unknown config key test_points[2].zz"),
+        (("zz",), 1, "unknown config key zz"),
+        (("anchors", 1, "x"), "12.0", "anchors[1].x must be a finite number"),
+        (("test_points", 0, "y"), True, "test_points[0].y must be a finite number"),
+        (("anchors", 2, "sy"), 1.5, "anchors[2].sy must be an integer"),
+        (("anchors", 0, "id"), False, "anchors[0].id must be an integer"),
+        (("length_m",), "12", "length_m must be a finite number"),
+        (("name",), 3, "name must be a string"),
+        (("anchors", 1, "sx"), None, "anchors[1].sx must be an integer"),
+    ],
+)
+def test_environment_dict_is_read_strictly(path, value, words):
+    d = environment_to_dict(standard_environment("corridor"))
+    *keys, last = path
+    entry = d
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(ValueError) as e:
+        environment_from_dict(d)
+    assert str(e.value).startswith(words), str(e.value)
+    if last != "zz":
+        del entry[last]
+        with pytest.raises(ValueError) as e:
+            environment_from_dict(d)
+        assert str(e.value) == f"missing config key {words.split()[0]}"
 
 
 def test_anchor_lookup_error():

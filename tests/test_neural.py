@@ -11,7 +11,7 @@ from locus.neural import (
     CnnModel,
     MlpModel,
     RbfModel,
-    TrainConfig,
+    TrainSpec,
     fit_rbf_output,
     gradient_check,
     kmeans,
@@ -218,6 +218,24 @@ def test_rbf_widths_two_nearest_oracle():
     assert w[2] == pytest.approx(2.5)
 
 
+def _rbf_widths_loop(centers):
+    """The per-center loop: mean distance to the two nearest other centers."""
+    k = centers.shape[0]
+    d = np.sqrt(np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2))
+    widths = np.empty(k)
+    for j in range(k):
+        widths[j] = np.sort(d[j][np.arange(k) != j])[: min(2, k - 1)].mean()
+    return np.maximum(widths, 1e-6)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 40])
+def test_rbf_widths_match_the_per_center_loop(k):
+    rng = np.random.default_rng(k)
+    centers = rng.normal(size=(k, 6))
+    centers[-1] = centers[0]  # a repeated center: two zero distances in its rows
+    assert np.array_equal(rbf_widths(centers), _rbf_widths_loop(centers))
+
+
 def test_rbf_widths_single_center_fallback():
     centers = np.array([[1.0, 1.0]])
     data = np.array([[0.0, 0.0], [2.0, 2.0]])
@@ -357,7 +375,7 @@ def test_loss_is_mse_over_all_entries():
 def test_train_loss_history_and_decrease():
     x, y = _data(48, 4, seed=6)
     m = make_mlp(4, seed=0)
-    res = train(m, x, y, TrainConfig(learning_rate=0.05, batch_size=16, iterations=200, seed=1))
+    res = train(m, x, y, TrainSpec(learning_rate=0.05, batch_size=16), steps=200, seeds=1)
     assert len(res.loss_history) == 200
     assert res.final_loss == res.loss_history[-1]
     assert res.loss_history[-1] < res.loss_history[0]
@@ -367,18 +385,18 @@ def test_train_zero_learning_rate_keeps_params():
     x, y = _data(20, 3, seed=7)
     m = make_mlp(3, seed=2)
     before = {k: v.copy() for k, v in m.params().items()}
-    train(m, x, y, TrainConfig(learning_rate=0.0, batch_size=8, iterations=50, seed=0))
+    train(m, x, y, TrainSpec(learning_rate=0.0, batch_size=8), steps=50, seeds=0)
     for k, v in m.params().items():
         assert np.array_equal(v, before[k])
 
 
 def test_train_deterministic():
     x, y = _data(30, 5, seed=8)
-    cfg = TrainConfig(learning_rate=0.02, batch_size=8, iterations=100, seed=5)
+    spec = TrainSpec(learning_rate=0.02, batch_size=8)
     m1 = make_mlp(5, seed=3)
     m2 = make_mlp(5, seed=3)
-    r1 = train(m1, x, y, cfg)
-    r2 = train(m2, x, y, cfg)
+    r1 = train(m1, x, y, spec, steps=100, seeds=5)
+    r2 = train(m2, x, y, spec, steps=100, seeds=5)
     assert np.array_equal(r1.loss_history, r2.loss_history)
     assert all(np.array_equal(m1.params()[k], m2.params()[k]) for k in m1.params())
 
@@ -389,23 +407,24 @@ def test_train_records_pre_update_loss():
     m = make_mlp(3, seed=4)
     # full-batch: the first batch is the whole (shuffled) set
     init_loss = m.loss_and_gradients(x, y)[0]
-    res = train(m, x, y, TrainConfig(learning_rate=0.1, batch_size=16, iterations=3, seed=0))
+    res = train(m, x, y, TrainSpec(learning_rate=0.1, batch_size=16), steps=3, seeds=0)
     assert res.loss_history[0] == pytest.approx(init_loss, abs=1e-12)
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-0.1, batch_size=8, iterations=10)
+        TrainSpec(learning_rate=-0.1, batch_size=8)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.1, batch_size=0, iterations=10)
+        TrainSpec(learning_rate=0.1, batch_size=0)
+    x, y = _data(8, 3, seed=0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.1, batch_size=8, iterations=0)
+        train(make_mlp(3, seed=0), x, y, TrainSpec(learning_rate=0.1, batch_size=8), steps=0, seeds=0)
 
 
 def test_batch_size_larger_than_data_is_full_batch():
     x, y = _data(10, 3, seed=10)
     m = make_mlp(3, seed=5)
-    res = train(m, x, y, TrainConfig(learning_rate=0.05, batch_size=64, iterations=20, seed=1))
+    res = train(m, x, y, TrainSpec(learning_rate=0.05, batch_size=64), steps=20, seeds=1)
     assert len(res.loss_history) == 20
 
 
@@ -417,13 +436,13 @@ def test_train_checks_shapes_before_the_first_step():
         raise AssertionError("a training step ran")
 
     m.loss_and_gradients = no_step
-    cfg = TrainConfig(learning_rate=0.1, batch_size=4, iterations=5, seed=0)
+    spec = TrainSpec(learning_rate=0.1, batch_size=4)
     with pytest.raises(ValueError, match=r"expected batch shape \(n, 4\)"):
-        train(m, x[:, :3], y, cfg)
+        train(m, x[:, :3], y, spec, steps=5, seeds=0)
     with pytest.raises(ValueError, match=r"expected targets shape \(12, 2\)"):
-        train(m, x, y[:, :1], cfg)
+        train(m, x, y[:, :1], spec, steps=5, seeds=0)
     with pytest.raises(ValueError, match=r"expected targets shape \(12, 2\)"):
-        train(m, x, y[:10], cfg)
+        train(m, x, y[:10], spec, steps=5, seeds=0)
 
 
 def test_gradient_check_rejects_bad_shapes():
@@ -437,14 +456,13 @@ def test_gradient_check_rejects_bad_shapes():
 @pytest.mark.parametrize("family", ["mlp", "cnn"])
 def test_train_stops_at_first_non_finite_loss(family):
     x, y = _data(24, 6, seed=15)
-    cfg = TrainConfig(learning_rate=1e3, batch_size=8, iterations=200, seed=0)
+    spec = TrainSpec(learning_rate=1e3, batch_size=8)
     with pytest.raises(ValueError, match=rf"{family} training diverged: non-finite batch loss at step (\d+)") as e:
-        train(neural.build(family, x, seed=0, rbf_centers=4), x, y, cfg)
+        train(neural.build(family, x, seed=0, rbf_centers=4), x, y, spec, steps=200, seeds=0)
     step = int(e.value.args[0].rsplit(" ", 1)[1])
     assert step >= 1
     # The same run cut just before that step has a finite history.
-    cfg.iterations = step
-    res = train(neural.build(family, x, seed=0, rbf_centers=4), x, y, cfg)
+    res = train(neural.build(family, x, seed=0, rbf_centers=4), x, y, spec, steps=step, seeds=0)
     assert np.all(np.isfinite(res.loss_history))
 
 
@@ -456,14 +474,88 @@ def test_build_and_fit_recipes():
     rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
     assert rbf.arrays["centers"].shape == (7, 6)  # k = min(centers, n)
     ref = RbfModel(rbf.arrays)
-    history = neural.fit(rbf, x, y, neural.TrainSpec(0.1, 2, 3), seed=0, ridge=1e-3)
+    (history,) = neural.fit([rbf], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0], ridge=1e-3)
     assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
     assert np.array_equal(rbf.arrays["w_out"], ref.arrays["w_out"])
     mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
-    history = neural.fit(mlp, x, y, neural.TrainSpec(0.1, 2, 3), seed=0)
+    (history,) = neural.fit([mlp], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0])
     assert history.size == 3 * math.ceil(7 / 2)
     with pytest.raises(ValueError, match="unknown model family"):
         neural.build("svm", x, seed=0, rbf_centers=40)
+
+
+# ---------------------------------------------------------------------------
+# lockstep training: a stack of models in one SGD run
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize("family", ["mlp", "cnn"])
+def test_stack_gives_the_bits_of_separate_runs(family, width, k):
+    """Members with their own data, init and seeds; 20 rows at batch 8 leave a
+    short last batch, and 12 steps cross three reshuffles."""
+    spec = TrainSpec(learning_rate=0.05, batch_size=8)
+    data = [_data(20, width, seed=30 + i) for i in range(k)]
+    alone = []
+    for i, (x, y) in enumerate(data):
+        m = neural.build(family, x, seed=40 + i, rbf_centers=4)
+        alone.append((train(m, x, y, spec, steps=12, seeds=50 + i).loss_history, m.arrays))
+    stack = neural.FAMILIES[family].stack([neural.build(family, x, seed=40 + i, rbf_centers=4) for i, (x, _) in enumerate(data)])
+    xs, ys = np.stack([x for x, _ in data]), np.stack([y for _, y in data])
+    res = train(stack, xs, ys, spec, steps=12, seeds=[50 + i for i in range(k)])
+    assert res.loss_history.shape == (12, k)
+    for i, (history, arrays) in enumerate(alone):
+        assert np.array_equal(res.loss_history[:, i], history)
+        for name, a in arrays.items():
+            assert np.array_equal(stack.arrays[name][i], a), name
+
+
+def test_fit_trains_a_list_as_one_stack():
+    spec = TrainSpec(learning_rate=0.05, batch_size=8, epochs=2)
+    data = [_data(20, 6, seed=60 + i) for i in range(3)]
+    alone = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
+    want = [neural.fit([m], [x], [y], spec, [70 + i])[0] for i, (m, (x, y)) in enumerate(zip(alone, data))]
+    models = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
+    got = neural.fit(models, [x for x, _ in data], [y for _, y in data], spec, [70, 71, 72])
+    for m, ref, h, h_ref in zip(models, alone, got, want):
+        assert h.shape == (2 * 3,) and np.array_equal(h, h_ref)
+        assert model_to_dict(m) == model_to_dict(ref)
+
+
+@pytest.mark.parametrize("family,lr", [("mlp", 0.2), ("cnn", 0.05)])
+def test_stack_divergence_names_the_earliest_step_and_its_first_member(family, lr):
+    """Targets scaled up diverge sooner; the stack stops where the first member
+    to diverge alone would, naming the lowest member index among ties."""
+    spec = TrainSpec(learning_rate=lr, batch_size=8)
+    x, y = _data(24, 6, seed=15)
+    scales = [1.0, 100.0, 1e3, 1e4]
+    steps = []
+    for s in scales:
+        try:
+            train(neural.build(family, x, seed=0, rbf_centers=4), x, y * s, spec, steps=300, seeds=0)
+            steps.append(None)
+        except neural.Diverged as e:
+            assert e.member == 0
+            steps.append(int(str(e).rsplit(" ", 1)[1]))
+    assert steps[0] is None and len(set(steps[1:])) > 1
+    first = min(t for t in steps if t is not None)
+    stack = neural.FAMILIES[family].stack([neural.build(family, x, seed=0, rbf_centers=4) for _ in scales])
+    xs, ys = np.stack([x] * 4), np.stack([y * s for s in scales])
+    with pytest.raises(neural.Diverged, match=rf"{family} training diverged: non-finite batch loss at step {first}$") as e:
+        train(stack, xs, ys, spec, steps=300, seeds=[0] * 4)
+    assert e.value.member == steps.index(first)
+
+
+def test_stack_checks_its_shapes_and_seeds():
+    x, y = _data(12, 4, seed=13)
+    stack = MlpModel.stack([make_mlp(4, seed=i) for i in range(2)])
+    spec = TrainSpec(learning_rate=0.1, batch_size=4)
+    with pytest.raises(ValueError, match=r"expected batch shape \(2, n, 4\)"):
+        train(stack, x, y, spec, steps=5, seeds=[0, 1])
+    with pytest.raises(ValueError, match=r"expected targets shape \(2, 12, 2\)"):
+        train(stack, np.stack([x, x]), y, spec, steps=5, seeds=[0, 1])
+    with pytest.raises(ValueError, match="one seed per stack member, got 3 for 2"):
+        train(stack, np.stack([x, x]), np.stack([y, y]), spec, steps=5, seeds=[0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

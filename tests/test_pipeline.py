@@ -30,6 +30,7 @@ from locus.pipeline import (
     trilat_baseline_mae_mm,
     worker_count,
     write_report_files,
+    _run_cells,
 )
 
 PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
@@ -86,6 +87,58 @@ def test_screen_wraps_angle_deviations():
     meas = theo + np.column_stack([np.zeros((500, 3)), rng.uniform(-180.0, 180.0, (500, 3))])
     raw = ~np.any(np.abs(meas - theo)[:, 3:] > LIMITS[1], axis=1)
     assert np.array_equal(screen_outlier(theo, meas, *LIMITS), raw)
+
+
+# Angles on a quarter-degree lattice: every sum and difference below is exact,
+# so a whole-turn shift cannot move a deviation across its threshold by rounding.
+_QUARTERS = st.integers(-2880, 2880).map(lambda q: q / 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theo=st.lists(_QUARTERS, min_size=6, max_size=6),
+    meas=st.lists(_QUARTERS, min_size=6, max_size=6),
+    which=st.integers(3, 5),
+    turns=st.integers(-3, 3).filter(bool),
+    shift_theo=st.booleans(),
+    aoa_threshold=st.integers(0, 720).map(lambda q: q / 4.0),
+)
+def test_screen_mask_invariant_to_whole_turns(theo, meas, which, turns, shift_theo, aoa_threshold):
+    theo, meas = np.array(theo), np.array(meas)
+    limits = ((9.0, 9.0, 9.0), aoa_threshold)
+    before = screen_outlier(theo, meas, *limits)
+    (theo if shift_theo else meas)[which] += 360.0 * turns
+    assert screen_outlier(theo, meas, *limits) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theo=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3) | st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    n=st.integers(1, 5),
+)
+def test_screen_zero_noise_passes_zero_thresholds(theo, n):
+    theo = np.array(theo)
+    assert screen_outlier(theo, np.tile(theo, (n, 1)), np.zeros(3), 0.0).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), n_per_point=st.integers(1, 12), layout=st.sampled_from(["rssi", "hybrid"]))
+def test_zero_noise_dataset_passes_a_zero_screen(seed, n_per_point, layout):
+    env = _tiny_env()
+    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), n_per_point, layout, OutlierPolicy(0.0, 0.0), seed, AoaSim("fast", 0.0))
+    assert ds.rejects == 0
+    assert np.array_equal(np.bincount(ds.point_ids), [n_per_point] * 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), n_per_point=st.integers(1, 12), layout=st.sampled_from(["rssi", "hybrid"]))
+def test_generate_dataset_repeats_bit_for_bit(seed, n_per_point, layout):
+    env = _tiny_env()
+    a, b = (generate_dataset(env, PARAMS, NlosModel(2.0, 3.0), n_per_point, layout, seed=seed) for _ in range(2))
+    assert a.features.tobytes() == b.features.tobytes() and a.rejects == b.rejects
+    assert np.array_equal(np.bincount(a.point_ids), [n_per_point] * 3)
+    for pid, p in enumerate(env.test_points):
+        assert np.array_equal(a.targets[a.point_ids == pid], np.tile([p.x, p.y], (n_per_point, 1)))
 
 
 def test_music_dataset_at_the_far_wall():
@@ -441,13 +494,30 @@ def test_listed_rooms_are_checked_too():
     checks that form's keys and room size as well."""
     for key, value, words in (
         ("n_points", 3, "unknown config key environments[1].n_points"),
-        ("length_m", math.inf, "environments[1]: room dimensions must be positive and finite"),
+        ("length_m", math.inf, "environments[1].length_m must be a finite number"),
+        ("length_m", -1.0, "environments[1]: room dimensions must be positive and finite"),
     ):
         doc = config_to_dict(_small_config())
         doc["environments"][1][key] = value
         with pytest.raises(ValueError) as e:
             load_config(doc)
         assert str(e.value).startswith(words)
+
+
+def test_listed_room_entries_are_read_strictly():
+    for path, value, words in (
+        (("anchors", 0, "zz"), 1, "unknown config key environments[0].anchors[0].zz"),
+        (("test_points", 2, "y"), "1.5", "environments[0].test_points[2].y must be a finite number"),
+        (("anchors", 1, "id"), True, "environments[0].anchors[1].id must be an integer"),
+    ):
+        doc = config_to_dict(_small_config())
+        entry = doc["environments"][0]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(ValueError) as e:
+            load_config(doc)
+        assert str(e.value).startswith(words), str(e.value)
 
 
 def test_run_experiment_structure_and_tables(tmp_path):
@@ -504,16 +574,35 @@ def test_run_experiment_reproducible():
     assert r1["total_rejects"] == r2["total_rejects"]
 
 
-def test_run_experiment_parallel_matches_serial(monkeypatch):
-    cfg = _small_config()
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("LOCUS_THREADS", "3")
+def test_run_experiment_parallel_matches_serial(monkeypatch, tmp_path):
+    """2 rooms x 2 seeds: 2 or 3 workers split the cells into other stacks
+    (at 3, stacks of 1, 1 and 2), and every report file keeps its bytes."""
+    cfg = _small_config(models=["mlp", "rbf", "cnn"])
+    run_experiment(cfg, out_dir=tmp_path / "serial")
     # Keep the pool path under test on hosts with fewer cores.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    parallel = run_experiment(cfg)
-    assert json.dumps(serial["mae_table_mm"], sort_keys=True) == json.dumps(
-        parallel["mae_table_mm"], sort_keys=True
-    )
+    for threads in ("2", "3"):
+        monkeypatch.setenv("LOCUS_THREADS", threads)
+        run_experiment(cfg, out_dir=tmp_path / threads)
+        for name in ("report.json", "mae_table.csv", "improvement_table.csv", "loss_history.csv"):
+            assert (tmp_path / threads / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), (threads, name)
+
+
+@pytest.mark.parametrize("lr", [2.0, 10.0])
+def test_stacked_cells_name_the_first_cell_to_diverge(lr):
+    """The cells' rssi MLPs train as one stack; its divergence names the cell
+    that diverges earliest when run alone (the first such cell on a tie)."""
+    cfg = _small_config(train={"learning_rate": lr, "batch_size": 16, "epochs": 12})
+    cells = [(e, s) for e in range(2) for s in cfg.seeds]
+    alone = []
+    for cell in cells:
+        with pytest.raises(ValueError, match="layout rssi: mlp training diverged") as e:
+            _run_cells(cfg, [cell])
+        alone.append(str(e.value))
+    steps = [int(m.rsplit(" ", 1)[1]) for m in alone]
+    with pytest.raises(ValueError) as e:
+        _run_cells(cfg, cells)
+    assert str(e.value) == alone[steps.index(min(steps))]
 
 
 def test_worker_count_clamps_to_cells_and_cores(monkeypatch):
@@ -534,9 +623,7 @@ def test_worker_count_clamps_to_cells_and_cores(monkeypatch):
 def test_paired_layouts_share_channel_draws():
     """The rssi view of a cell is a column projection of the hybrid data."""
     cfg = _small_config()
-    from locus.pipeline import _run_cell
-
-    cell = _run_cell(cfg, 0, 0)
+    (cell,) = _run_cells(cfg, [(0, 0)])
     by = {(r["layout"], r["model"]): r for r in cell["runs"]}
     assert set(by) == {
         ("rssi", "mlp"),
