@@ -18,15 +18,14 @@ from .channel import (
     NlosModel,
     PathLossParams,
     SnapshotMatrix,
-    SourceSpec,
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,
-    steering_vector,
+    steering_matrix,
 )
 from .plfit import FitResult, FitSample, fit_path_loss
 from .trilat import DistanceVector, PositionEstimate, rssi_to_distance, trilaterate
-from .aoa import correlation_matrix, eigendecompose, estimate_aoa, noise_subspace, spatial_spectrum
+from .aoa import correlation_matrix, eigendecompose, estimate_aoa, music_spectrum, spatial_spectrum
 from .hybrid import hybrid_position
 from .neural import (
     CnnModel,

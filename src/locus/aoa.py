@@ -3,18 +3,16 @@
 Chain: sample correlation matrix -> Hermitian eigendecomposition -> noise
 subspace -> pseudo-spectrum scan -> peak picking with quadratic refinement.
 
-The eigendecomposition is LAPACK's Hermitian solver through numpy.linalg.eigh.
 The noise-subspace projector does not depend on the phase of its eigenvectors.
 
-The scan grid and its steering matrix depend only on the array and the grid,
-so they are built once and kept in a small LRU cache keyed on the array and
-the exact grid values. The cached arrays are read-only.
+The scan grid and its steering matrix depend only on the array and the step,
+so they are built once and kept in a small LRU cache keyed on both. The
+cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,116 +24,65 @@ from .channel import ArraySpec, SnapshotMatrix, steering_matrix
 SPECTRUM_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    r: np.ndarray  # (m, m) complex, Hermitian
-
-    def __post_init__(self):
-        m = self.r.shape[0]
-        if self.r.ndim != 2 or self.r.shape != (m, m):
-            raise ValueError("correlation matrix must be square")
-        if not np.isfinite(self.r).all():
-            raise ValueError("correlation matrix must be finite")
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    values: np.ndarray  # (m,) real, descending
-    vectors: np.ndarray  # (m, m) complex, columns orthonormal
-
-
-@dataclass(frozen=True)
-class SpatialSpectrum:
-    grid_deg: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        if self.grid_deg.size == 0:
-            raise ValueError("empty spectrum grid")
-        if self.grid_deg.shape != self.power.shape:
-            raise ValueError("grid and power shapes differ")
-
-
-def correlation_matrix(x: SnapshotMatrix) -> CorrelationMatrix:
-    """Sample correlation R = X X^H / T, symmetrized to kill roundoff skew."""
+def correlation_matrix(x: SnapshotMatrix) -> np.ndarray:
+    """Sample correlation R = X X^H / T, symmetrized: R[j, i] is exactly conj(R[i, j])."""
     t = x.array.snapshots
     r = (x.data @ x.data.conj().T) / t
     r = (r + r.conj().T) / 2.0
-    return CorrelationMatrix(r)
+    if not np.isfinite(r).all():
+        raise ValueError("correlation matrix must be finite")
+    return r
 
 
-def eigendecompose(corr: CorrelationMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by numpy.linalg.eigh.
-
-    Returns eigenvalues sorted descending with matching orthonormal columns.
-    """
-    r = corr.r
-    rh = r.conj().T
-    atol = max(float(np.linalg.norm(r)), 1.0) * 1e-10
-    # The test np.allclose(r, rh, atol=atol) makes; r is finite here.
-    if not (np.abs(r - rh) <= atol + 1e-5 * np.abs(rh)).all():
-        raise ValueError("matrix is not Hermitian")
+def eigendecompose(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of a Hermitian matrix, eigenvalues and their columns in descending order."""
     values, vectors = np.linalg.eigh(r)
-    return EigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
-
-
-def noise_subspace(eig: EigenDecomposition, k: int) -> np.ndarray:
-    """Columns spanning the m - k smallest eigenvalues; shape (m, m - k)."""
-    m = eig.values.size
-    if k < 1 or k >= m:
-        raise ValueError(f"source count must satisfy 1 <= k < {m}, got {k}")
-    return eig.vectors[:, k:]
+    return values[::-1], vectors[:, ::-1]
 
 
 def grid_size(step_deg: float, name: str = "grid step") -> int:
-    """n of the scan grid -90 + step_deg * [0, 1, ..., n], which must end at +90:
-    a step that does not divide 180 degrees raises ValueError naming it."""
+    """n of the scan grid -90 + step_deg * [0, 1, ..., n], which must end at +90
+    and have at most 18 000 intervals (a step of 0.01 degrees; at 8 sensors its
+    steering matrix takes 2.3 MB): any other step raises ValueError naming it."""
     ratio = 180.0 / step_deg if step_deg > 0 else 0.0
     n = round(ratio) if ratio < math.inf else 0
     if not (n >= 1 and 90.0 - 1e-9 <= -90.0 + step_deg * n <= 90.0):
         raise ValueError(f"{name} must be a positive divisor of 180 degrees, got {step_deg}")
+    if n > 18_000:
+        raise ValueError(f"{name} must be at least 0.01 degrees, got {step_deg}")
     return n
 
 
-def angle_grid(step_deg: float = 0.1) -> np.ndarray:
+def angle_grid(step_deg: float) -> np.ndarray:
     """Uniform scan grid covering [-90, 90] inclusive (see grid_size)."""
     return -90.0 + step_deg * np.arange(grid_size(step_deg) + 1)
 
 
 @lru_cache(maxsize=8)
-def _cached_grid(step_deg: float) -> np.ndarray:
+def _scan(array: ArraySpec, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid of step_deg and its (m, g) steering matrix, both read-only."""
     grid = angle_grid(step_deg)
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=8)
-def _scan(array: ArraySpec, grid_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The validated scan grid and its (m, g) steering matrix, both read-only."""
-    grid = np.frombuffer(grid_bytes, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty scan grid")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("scan grid must be strictly ascending")
-    if grid[0] < -90.0 or grid[-1] > 90.0:
-        raise ValueError("scan grid must lie within [-90, 90] degrees")
     a = steering_matrix(array, grid)
+    grid.flags.writeable = False
     a.flags.writeable = False
     return grid, a
 
 
-def spatial_spectrum(un: np.ndarray, array: ArraySpec, grid_deg: np.ndarray) -> SpatialSpectrum:
-    """Pseudo-spectrum P(theta) = 1 / (a^H U_N U_N^H a) over an ascending grid."""
-    grid = np.asarray(grid_deg, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("scan grid must be one-dimensional")
-    if un.shape[0] != array.m:
-        raise ValueError("noise subspace row count does not match the array")
-    grid, a = _scan(array, grid.tobytes())
+def spatial_spectrum(un: np.ndarray, array: ArraySpec, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid of step_deg and the pseudo-spectrum 1 / (a^H U_N U_N^H a) over it."""
+    grid, a = _scan(array, step_deg)
     proj = un.conj().T @ a  # (m - k, g)
     denom = np.sum(np.abs(proj) ** 2, axis=0)
     denom = np.maximum(denom, SPECTRUM_FLOOR)
-    return SpatialSpectrum(grid_deg=grid, power=1.0 / denom)
+    return grid, 1.0 / denom
+
+
+def music_spectrum(x: SnapshotMatrix, k: int, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid of step_deg and the MUSIC pseudo-spectrum of k sources in x over it."""
+    if k < 1 or k >= x.array.m:
+        raise ValueError(f"source count must satisfy 1 <= k < {x.array.m}, got {k}")
+    _, vectors = eigendecompose(correlation_matrix(x))
+    return spatial_spectrum(vectors[:, k:], x.array, step_deg)
 
 
 def _local_maxima(power: np.ndarray) -> np.ndarray:
@@ -159,22 +106,18 @@ def _refine_peak(grid: np.ndarray, power: np.ndarray, i: int) -> float:
     return float(grid[i] + delta * step)
 
 
-def estimate_aoa(x: SnapshotMatrix, k: int, grid_step_deg: float = 0.1) -> list[float]:
+def estimate_aoa(x: SnapshotMatrix, k: int, grid_step_deg: float) -> list[float]:
     """MUSIC estimate of k source angles from a snapshot block, ascending order.
 
     Takes the k largest local maxima of the pseudo-spectrum (ties broken
     toward the lower angle), each refined by quadratic interpolation.
     """
-    if k < 1 or k >= x.array.m:
-        raise ValueError(f"source count must satisfy 1 <= k < {x.array.m}, got {k}")
-    eig = eigendecompose(correlation_matrix(x))
-    un = noise_subspace(eig, k)
-    spec = spatial_spectrum(un, x.array, _cached_grid(grid_step_deg))
-    maxima = _local_maxima(spec.power)
+    grid, power = music_spectrum(x, k, grid_step_deg)
+    maxima = _local_maxima(power)
     if maxima.size < k:
         raise ValueError(f"found {maxima.size} spectrum peaks, need {k}")
     # The grid ascends, so a stable sort on power breaks ties toward the lower angle.
-    chosen = maxima[np.argsort(-spec.power[maxima], kind="stable")[:k]]
+    chosen = maxima[np.argsort(-power[maxima], kind="stable")[:k]]
     # Refined one peak at a time: at k = 1 a vectorised refinement costs more
     # numpy calls than it saves.
-    return sorted(_refine_peak(spec.grid_deg, spec.power, i) for i in chosen.tolist())
+    return sorted(_refine_peak(grid, power, i) for i in chosen.tolist())

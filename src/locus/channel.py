@@ -117,18 +117,6 @@ class ArraySpec:
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    """A far-field narrowband source at a broadside angle (degrees) and power (dB)."""
-
-    theta_deg: float
-    power_db: float = 0.0
-
-    def __post_init__(self):
-        if not -90.0 <= self.theta_deg <= 90.0:
-            raise ValueError(f"source angle must lie in [-90, 90] deg, got {self.theta_deg}")
-
-
-@dataclass(frozen=True)
 class SnapshotMatrix:
     """Complex m x T sample block from a ULA."""
 
@@ -168,11 +156,6 @@ def per_anchor_params(params) -> list[PathLossParams]:
     return params
 
 
-def db_to_power(db: float) -> float:
-    # -inf dB maps to exactly zero power (noiseless flag).
-    return 10.0 ** (db / 10.0)
-
-
 def expected_rssi(params: PathLossParams, d: float) -> float:
     """Mean received power at distance d (meters), in dBm. Requires d >= d0."""
     if d < params.d0:
@@ -185,15 +168,8 @@ def simulate_rssi(params: PathLossParams, d: float, rng: np.random.Generator) ->
     return expected_rssi(params, d) - rng.normal(0.0, params.sigma)
 
 
-def steering_vector(array: ArraySpec, theta_deg: float) -> np.ndarray:
-    """ULA steering vector, first sensor as phase reference, broadside = 0 deg."""
-    n = np.arange(array.m)
-    phase = -2j * np.pi * array.spacing_wavelengths * n * math.sin(math.radians(theta_deg))
-    return np.exp(phase)
-
-
 def steering_matrix(array: ArraySpec, thetas_deg: np.ndarray) -> np.ndarray:
-    """Column-stacked steering vectors for a vector of angles: shape (m, len(thetas))."""
+    """ULA steering vectors as columns, shape (m, len(thetas)): first sensor as phase reference, broadside = 0 deg."""
     n = np.arange(array.m)[:, None]
     s = np.sin(np.radians(np.asarray(thetas_deg, dtype=float)))[None, :]
     return np.exp(-2j * np.pi * array.spacing_wavelengths * n * s)
@@ -201,31 +177,34 @@ def steering_matrix(array: ArraySpec, thetas_deg: np.ndarray) -> np.ndarray:
 
 def simulate_snapshots(
     array: ArraySpec,
-    sources: list[SourceSpec],
+    thetas_deg: list[float],
     noise_power_db: float,
     rng: np.random.Generator,
 ) -> SnapshotMatrix:
-    """Simulate T narrowband snapshots of K sources plus white noise.
+    """Simulate T narrowband snapshots of K far-field sources plus white noise.
 
-    Each source emits an independent complex Gaussian symbol per snapshot at
-    its configured power. noise_power_db = -inf gives noiseless data; NaN
-    is refused. Requires 1 <= K < m.
+    Each source, at a broadside angle in [-90, 90] degrees, emits an independent
+    unit-power complex Gaussian symbol per snapshot. noise_power_db = -inf gives
+    noiseless data; NaN is refused. Requires 1 <= K < m.
     """
+    for theta in thetas_deg:
+        if not -90.0 <= theta <= 90.0:
+            raise ValueError(f"source angle must lie in [-90, 90] deg, got {theta}")
     if math.isnan(noise_power_db):
         raise ValueError("noise_power_db must be a number or -inf, got nan")
-    k = len(sources)
+    k = len(thetas_deg)
     if k < 1 or k >= array.m:
         raise ValueError(f"need 1 <= sources < {array.m} sensors, got {k}")
     t = array.snapshots
-    a = steering_matrix(array, np.array([s.theta_deg for s in sources]))
-    powers = np.array([db_to_power(s.power_db) for s in sources])
-    npow = db_to_power(noise_power_db)
+    a = steering_matrix(array, thetas_deg)
+    # -inf dB maps to exactly zero power (noiseless flag).
+    npow = 10.0 ** (noise_power_db / 10.0)
     m = array.m if npow > 0.0 else 0
     # One draw in the order symbol re, symbol im, noise re, noise im: the
     # generator fills the block row by row, so the stream is that of four draws.
     z = rng.standard_normal((2 * k + 2 * m, t))
     symbols = z[:k] + 1j * z[k : 2 * k]
-    symbols *= np.sqrt(powers / 2.0)[:, None]
+    symbols *= math.sqrt(0.5)
     x = a @ symbols
     if m:
         x = x + math.sqrt(npow / 2.0) * (z[2 * k : 2 * k + m] + 1j * z[2 * k + m :])

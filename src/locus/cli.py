@@ -16,8 +16,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import neural
-from .aoa import angle_grid, correlation_matrix, eigendecompose, estimate_aoa, grid_size, noise_subspace, spatial_spectrum
-from .channel import ArraySpec, PathLossParams, SourceSpec, simulate_rssi, simulate_snapshots, snapshots_from_csv, snapshots_to_csv
+from .aoa import estimate_aoa, grid_size, music_spectrum
+from .channel import ArraySpec, PathLossParams, simulate_rssi, simulate_snapshots, snapshots_from_csv, snapshots_to_csv
 from .environment import STANDARD_ROOMS, load_environment, make_environment
 from .hybrid import hybrid_position
 from .pipeline import (
@@ -73,7 +73,7 @@ def _parse_floats(text, n=None, what="values"):
 
 
 def _grid_step(text):
-    """The value of --grid-step, refused (exit 1, naming the flag) unless it divides 180."""
+    """The value of --grid-step, refused (exit 1, naming the flag) unless grid_size takes it."""
     try:
         grid_size(float(text))
     except ValueError as e:
@@ -119,9 +119,8 @@ def _cmd_simulate_rssi(args):
 def _cmd_simulate_snapshots(args):
     spec = ArraySpec(m=args.m, spacing_wavelengths=args.spacing, snapshots=args.snapshots)
     angles = _parse_floats(args.angles, what="angles")
-    sources = [SourceSpec(a, 0.0) for a in angles]
     rng = np.random.default_rng(args.seed)
-    x = simulate_snapshots(spec, sources, noise_power_db=-args.snr_db, rng=rng)
+    x = simulate_snapshots(spec, angles, noise_power_db=-args.snr_db, rng=rng)
     text = snapshots_to_csv(x)
     if args.out:
         with open(args.out, "w") as f:
@@ -169,12 +168,10 @@ def _cmd_aoa(args):
     with open(args.input) as f:
         x = snapshots_from_csv(f.read(), spacing_wavelengths=args.spacing)
     if args.spectrum:
-        eig = eigendecompose(correlation_matrix(x))
-        un = noise_subspace(eig, args.k)
-        spec = spatial_spectrum(un, x.array, angle_grid(args.grid_step))
+        grid, power = music_spectrum(x, args.k, args.grid_step)
         with open(args.spectrum, "w") as f:
             f.write("angle_deg,power\n")
-            for a, p in zip(spec.grid_deg, spec.power):
+            for a, p in zip(grid, power):
                 f.write(f"{a:.6f},{p:.6e}\n")
     angles = estimate_aoa(x, args.k, grid_step_deg=args.grid_step)
     _print_json({"angles_deg": list(angles)})
@@ -190,10 +187,13 @@ def _cmd_train(args):
     model = neural.build(args.model, xn, args.seed, args.rbf_centers)
     spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
     history = neural.fit([model], [xn], [yn], spec, [args.seed], ridge=args.ridge)[0]
+    try:
+        train_mae, test_mae = (evaluate_mae(model, part, stats).overall_mae_mm for part in (train_ds, test_ds))
+    except ValueError as e:
+        raise ValueError(f"training failed: {e}") from e
     doc = neural.model_to_dict(model, norm=stats.to_dict())
     doc["split"] = {"train_fraction": args.train_fraction, "seed": args.split_seed}
     _write_json(args.out, doc)
-    train_mae, test_mae = (evaluate_mae(model, part, stats).overall_mae_mm for part in (train_ds, test_ds))
     _print_json({"model": args.model, "out": args.out, "steps": int(history.size), "final_loss": float(history[-1]),
                  "train_mae_mm": train_mae, "test_mae_mm": test_mae})
     return 0

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, SourceSpec, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
 from .environment import Environment, GridRoom, ListedRoom, Point2D, environment_from_dict, environment_to_dict, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
 from .hybrid import hybrid_position
@@ -263,9 +263,7 @@ def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
         phis = np.clip((biased - refs + 180.0) % 360.0 - 180.0, -89.9, 89.9)
         est = np.empty_like(phis)
         for s, i in np.ndindex(phis.shape):
-            snap = simulate_snapshots(
-                spec, [SourceSpec(float(phis[s, i]), 0.0)], noise_power_db=-spec.snr_db, rng=rng
-            )
+            snap = simulate_snapshots(spec, [float(phis[s, i])], noise_power_db=-spec.snr_db, rng=rng)
             est[s, i] = estimate_aoa(snap, 1, grid_step_deg=spec.grid_step_deg)[0]
         return est + refs
 
@@ -399,14 +397,18 @@ def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
     """Mean Euclidean error (mm) of denormalized predictions on a test split.
 
     model: anything exposing forward_batch(normalized features) -> (n, 2)
-    normalized coordinates.
+    normalized coordinates. A non-finite error raises ValueError naming the family and layout.
     """
+    family = getattr(model, "family", "custom")
     xn = stats.normalize_features(test_ds.features)
-    pred = stats.denormalize_targets(model.forward_batch(xn))
-    err_mm = 1000.0 * np.linalg.norm(pred - test_ds.targets, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = stats.denormalize_targets(model.forward_batch(xn))
+        err_mm = 1000.0 * np.linalg.norm(pred - test_ds.targets, axis=1)
+    if not np.isfinite(err_mm).all():
+        raise ValueError(f"{family} predictions on the {test_ds.layout} layout are not finite")
     per_point = {int(pid): float(err_mm[test_ds.point_ids == pid].mean()) for pid in np.unique(test_ds.point_ids)}
     return EvalReport(
-        model_family=getattr(model, "family", "custom"),
+        model_family=family,
         environment=test_ds.env.name,
         layout=test_ds.layout,
         per_point_mae_mm=per_point,
@@ -613,14 +615,21 @@ def _fit_jobs(config: ExperimentConfig, jobs):
     try:
         histories = neural.fit(models, xs, ys, config.train, seeds)
     except neural.Diverged as e:
-        row = jobs[e.member][0]
-        raise ValueError(f"{row['environment']} seed {row['seed']} layout {row['layout']}: {e}") from e
+        raise _cell_error(jobs[e.member][0], e) from e
     for (row, model, *_, te, stats), history in zip(jobs, histories):
-        trained = evaluate_mae(model, te, stats)
+        try:
+            trained = evaluate_mae(model, te, stats)
+        except ValueError as e:
+            raise _cell_error(row, e) from e
         stride = max(1, history.size // _HISTORY_ROWS)
         row.update(mae_mm=trained.overall_mae_mm, final_loss=float(history[-1]), steps=int(history.size),
                    per_point_mae_mm={str(k): v for k, v in trained.per_point_mae_mm.items()},
                    loss_history=[[int(s), float(history[s])] for s in range(0, history.size, stride)])
+
+
+def _cell_error(row, e: Exception) -> ValueError:
+    """e, prefixed with the room, seed and layout of a run's row."""
+    return ValueError(f"{row['environment']} seed {row['seed']} layout {row['layout']}: {e}")
 
 
 class UsageError(ValueError):

@@ -9,15 +9,12 @@ from locus.channel import (
     ArraySpec,
     PathLossParams,
     SnapshotMatrix,
-    SourceSpec,
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,
     snapshots_from_csv,
     snapshots_to_csv,
-    db_to_power,
     steering_matrix,
-    steering_vector,
 )
 
 
@@ -92,9 +89,8 @@ def test_simulate_rssi_deterministic():
 
 def test_steering_vector_structure():
     spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=16)
-    a = steering_vector(spec, 0.0)
+    a, a30 = steering_matrix(spec, [0.0, 30.0]).T
     assert np.allclose(a, np.ones(8))  # broadside: no phase progression
-    a30 = steering_vector(spec, 30.0)
     # phase step is -2*pi*0.5*sin(30 deg) = -pi/2 per element
     step = np.exp(-1j * math.pi / 2.0)
     expect = step ** np.arange(8)
@@ -108,15 +104,16 @@ def test_steering_matrix_columns():
     mat = steering_matrix(spec, grid)
     assert mat.shape == (4, 3)
     for j, th in enumerate(grid):
-        assert np.allclose(mat[:, j], steering_vector(spec, th))
+        phase = -2j * math.pi * 0.5 * np.arange(4) * math.sin(math.radians(th))
+        assert np.allclose(mat[:, j], np.exp(phase))
 
 
 def test_snapshots_noiseless_rank_one():
     spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=64)
     rng = np.random.default_rng(2)
-    x = simulate_snapshots(spec, [SourceSpec(25.0, 0.0)], noise_power_db=-math.inf, rng=rng)
+    x = simulate_snapshots(spec, [25.0], noise_power_db=-math.inf, rng=rng)
     assert x.data.shape == (8, 64)
-    a = steering_vector(spec, 25.0)
+    a = steering_matrix(spec, [25.0])[:, 0]
     # every column proportional to a(25) -> zero residual after projection
     proj = np.outer(a, a.conj()) / 8.0
     resid = x.data - proj @ x.data
@@ -126,11 +123,11 @@ def test_snapshots_noiseless_rank_one():
 def test_snapshots_dominant_eigenvector_matches_steering():
     spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=256)
     rng = np.random.default_rng(3)
-    x = simulate_snapshots(spec, [SourceSpec(30.0, 0.0)], noise_power_db=-20.0, rng=rng)
+    x = simulate_snapshots(spec, [30.0], noise_power_db=-20.0, rng=rng)
     r = x.data @ x.data.conj().T / 256
     w, v = np.linalg.eigh(r)
     top = v[:, -1]
-    a = steering_vector(spec, 30.0)
+    a = steering_matrix(spec, [30.0])[:, 0]
     cosine = abs(np.vdot(top, a)) / (np.linalg.norm(top) * np.linalg.norm(a))
     assert cosine > 0.99
 
@@ -138,9 +135,7 @@ def test_snapshots_dominant_eigenvector_matches_steering():
 def test_snapshots_two_sources_eigenvalue_gap():
     spec = ArraySpec(m=8, spacing_wavelengths=0.5, snapshots=256)
     rng = np.random.default_rng(4)
-    x = simulate_snapshots(
-        spec, [SourceSpec(-20.0, 0.0), SourceSpec(40.0, 0.0)], noise_power_db=-20.0, rng=rng
-    )
+    x = simulate_snapshots(spec, [-20.0, 40.0], noise_power_db=-20.0, rng=rng)
     w = np.linalg.eigvalsh(x.data @ x.data.conj().T / 256)[::-1]
     assert w[1] / w[2] > 10.0  # two signal eigenvalues clear of the noise floor
 
@@ -151,18 +146,17 @@ def test_snapshots_source_count_validation():
     with pytest.raises(ValueError):
         simulate_snapshots(spec, [], noise_power_db=0.0, rng=rng)
     with pytest.raises(ValueError):
-        simulate_snapshots(spec, [SourceSpec(0.0, 0.0)] * 4, noise_power_db=0.0, rng=rng)
+        simulate_snapshots(spec, [0.0] * 4, noise_power_db=0.0, rng=rng)
 
 
-def _four_draw_snapshots(array, sources, noise_power_db, rng):
+def _four_draw_snapshots(array, thetas, noise_power_db, rng):
     """simulate_snapshots as it was with four standard_normal draws, kept as its oracle."""
-    k, t = len(sources), array.snapshots
-    a = steering_matrix(array, np.array([s.theta_deg for s in sources]))
-    powers = np.array([db_to_power(s.power_db) for s in sources])
+    k, t = len(thetas), array.snapshots
+    a = steering_matrix(array, np.array(thetas))
     symbols = rng.standard_normal((k, t)) + 1j * rng.standard_normal((k, t))
-    symbols *= np.sqrt(powers / 2.0)[:, None]
+    symbols *= np.sqrt(np.ones(k) / 2.0)[:, None]
     x = a @ symbols
-    npow = db_to_power(noise_power_db)
+    npow = 10.0 ** (noise_power_db / 10.0)
     if npow > 0.0:
         noise = rng.standard_normal((array.m, t)) + 1j * rng.standard_normal((array.m, t))
         x = x + math.sqrt(npow / 2.0) * noise
@@ -177,17 +171,26 @@ def _four_draw_snapshots(array, sources, noise_power_db, rng):
     m=st.sampled_from([3, 4, 8]),
     t=st.sampled_from([1, 7, 64, 256]),
     thetas=st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2),
-    powers=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
 )
-def test_snapshots_match_four_draw_oracle(k, noise_db, seed, m, t, thetas, powers):
+def test_snapshots_match_four_draw_oracle(k, noise_db, seed, m, t, thetas):
     """Same bits and same generator state afterwards as the four-draw code."""
     spec = ArraySpec(m=m, spacing_wavelengths=0.5, snapshots=t)
-    sources = [SourceSpec(th, p) for th, p in zip(thetas[:k], powers[:k])]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
-        got = simulate_snapshots(spec, sources, noise_power_db=noise_db, rng=rng)
-        assert np.array_equal(got.data, _four_draw_snapshots(spec, sources, noise_db, ref_rng))
+        got = simulate_snapshots(spec, thetas[:k], noise_power_db=noise_db, rng=rng)
+        assert np.array_equal(got.data, _four_draw_snapshots(spec, thetas[:k], noise_db, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_simulate_snapshots_refuses_an_angle_outside_the_field_of_view():
+    spec = ArraySpec(m=4, spacing_wavelengths=0.5, snapshots=8)
+    rng = np.random.default_rng(0)
+    for thetas, bad in (([10.0, 95.0], "95.0"), ([-90.5, 0.0], "-90.5"), ([0.0, math.nan], "nan")):
+        with pytest.raises(ValueError, match=rf"source angle must lie in \[-90, 90\] deg, got {bad}$"):
+            simulate_snapshots(spec, thetas, noise_power_db=0.0, rng=rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    # The field of view's ends are in it.
+    simulate_snapshots(spec, [-90.0, 90.0], noise_power_db=0.0, rng=rng)
 
 
 def test_snapshot_matrix_rejects_non_finite():
@@ -202,16 +205,16 @@ def test_snapshot_matrix_rejects_non_finite():
 def test_simulate_snapshots_rejects_nan_noise_power():
     spec = ArraySpec(m=4, spacing_wavelengths=0.5, snapshots=8)
     with pytest.raises(ValueError, match="noise_power_db"):
-        simulate_snapshots(spec, [SourceSpec(10.0, 0.0)], noise_power_db=math.nan, rng=np.random.default_rng(0))
+        simulate_snapshots(spec, [10.0], noise_power_db=math.nan, rng=np.random.default_rng(0))
     # -inf stays the noiseless flag.
-    x = simulate_snapshots(spec, [SourceSpec(10.0, 0.0)], noise_power_db=-math.inf, rng=np.random.default_rng(0))
+    x = simulate_snapshots(spec, [10.0], noise_power_db=-math.inf, rng=np.random.default_rng(0))
     assert np.linalg.matrix_rank(x.data) == 1
 
 
 def test_snapshot_csv_roundtrip():
     spec = ArraySpec(m=5, spacing_wavelengths=0.5, snapshots=12)
     rng = np.random.default_rng(8)
-    x = simulate_snapshots(spec, [SourceSpec(-5.0, 0.0)], noise_power_db=-10.0, rng=rng)
+    x = simulate_snapshots(spec, [-5.0], noise_power_db=-10.0, rng=rng)
     back = snapshots_from_csv(snapshots_to_csv(x), spacing_wavelengths=0.5)
     assert back.array.m == 5 and back.array.snapshots == 12
     assert np.array_equal(back.data, x.data)

@@ -240,12 +240,13 @@ def test_snapshots_to_aoa_roundtrip(capsys, tmp_path):
 def test_aoa_grid_step_must_divide_180(capsys, tmp_path):
     snap = tmp_path / "snap.csv"
     assert _run(capsys, ["simulate", "snapshots", "--angles=17.3", "--snapshots", "32", "--out", str(snap)])[0] == 0
-    for step in ("1.1", "7", "0", "nan"):
+    for step, why in (("1.1", "divisor of 180"), ("7", "divisor of 180"), ("0", "divisor of 180"),
+                      ("nan", "divisor of 180"), ("0.001", "at least 0.01 degrees, got 0.001")):
         with pytest.raises(SystemExit) as e:
             main(["aoa", "--input", str(snap), "--grid-step", step])
         out, err = capsys.readouterr()
         assert e.value.code == 1, step
-        assert out == "" and "--grid-step" in err and "divisor of 180" in err, err
+        assert out == "" and "--grid-step" in err and why in err, err
     code, out, _ = _run(capsys, ["aoa", "--input", str(snap), "--grid-step", "0.25"])
     assert code == 0 and json.loads(out)["angles_deg"][0] == pytest.approx(17.3, abs=0.5)
 
@@ -343,6 +344,17 @@ def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
     assert f"{want.rejects} redraws" in out
 
 
+def test_train_with_overflowing_predictions_writes_no_model(capsys, tmp_path):
+    cfg = _config_file(tmp_path)
+    ds_path, model_path = tmp_path / "ds.json", tmp_path / "model.json"
+    _run(capsys, ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--out", str(ds_path)])
+    code, out, err = _run(capsys, ["train", "--data", str(ds_path), "--model", "mlp", "--out", str(model_path),
+                                   "--learning-rate", "1e300", "--epochs", "1", "--batch-size", "1000"])
+    assert code == 2 and out == ""
+    assert err == "locus: error: training failed: mlp predictions on the hybrid layout are not finite\n"
+    assert not model_path.exists()
+
+
 def test_predict_from_csv_with_header(capsys, tmp_path):
     cfg = _config_file(tmp_path)
     ds_path = tmp_path / "ds.json"
@@ -415,6 +427,17 @@ def test_report_diverging_training_exits_2(capsys, tmp_path):
     assert not (out_dir / "report.json").exists()
 
 
+def test_report_overflowing_predictions_exit_2_naming_the_cell(capsys, tmp_path):
+    """One huge SGD step leaves a finite loss history but predictions that
+    overflow: the sweep stops before writing any report file."""
+    cfg = _config_file(tmp_path, models=["mlp"], train={"learning_rate": 1e300, "batch_size": 1000, "epochs": 1})
+    out_dir = tmp_path / "rep"
+    code, out, err = _run(capsys, ["report", "--config", cfg, "--out", str(out_dir)])
+    assert code == 2 and out == ""
+    assert "locus: error: roomA seed 0 layout rssi: mlp predictions on the rssi layout are not finite" in err, err
+    assert not (out_dir / "report.json").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_report_bad_locus_threads_exits_1(capsys, tmp_path, monkeypatch, value):
     def no_cell(*args):
@@ -453,6 +476,7 @@ BAD_CONFIGS = [
     ("seeds-empty", ("seeds",), [], "seeds"),
     ("grid_step_deg", ("music", "grid_step_deg"), 0.0, "music.grid_step_deg"),
     ("grid_step_off_90", ("music", "grid_step_deg"), 1.1, "music.grid_step_deg"),
+    ("grid_step_too_fine", ("music", "grid_step_deg"), 0.001, "music.grid_step_deg must be at least 0.01"),
     ("n_points", ("environments", 0, "n_points"), 0, "environments[0].n_points"),
 ]
 
@@ -483,6 +507,14 @@ def test_bad_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, comman
     assert code == 2, err
     assert stdout == ""
     assert "locus: error: " in err and key in err, err
+    assert not out.exists()
+
+
+def test_simulate_snapshots_refuses_an_angle_outside_the_field_of_view(capsys, tmp_path):
+    out = tmp_path / "snap.csv"
+    code, stdout, err = _run(capsys, ["simulate", "snapshots", "--angles=95", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err == "locus: error: source angle must lie in [-90, 90] deg, got 95.0\n"
     assert not out.exists()
 
 

@@ -406,6 +406,17 @@ def test_evaluate_mae_constant_offset_oracle():
         assert v == pytest.approx(250.0, abs=1e-9)
 
 
+def test_evaluate_mae_refuses_non_finite_or_overflowing_predictions():
+    env = _tiny_env()
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="rssi", seed=0)
+    stats = NormStats.fit(ds)
+    for offset_m in (math.nan, math.inf, 1e300):
+        model = _FixedOffsetModel(stats, offset_m)
+        model.prime(ds.targets)
+        with pytest.raises(ValueError, match="^fixed predictions on the rssi layout are not finite$"):
+            evaluate_mae(model, ds, stats)
+
+
 def test_improvement_percent():
     env = _tiny_env()
     ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="rssi", seed=0)
