@@ -9,7 +9,6 @@ from .environment import (
     load_environment,
     make_environment,
     standard_environment,
-    standard_environments,
     true_aoa,
     true_distance,
 )
@@ -23,7 +22,7 @@ from .channel import (
     simulate_snapshots,
     steering_matrix,
 )
-from .plfit import FitResult, FitSample, fit_path_loss
+from .plfit import FitResult, fit_path_loss
 from .trilat import DistanceVector, PositionEstimate, rssi_to_distance, trilaterate
 from .aoa import correlation_matrix, eigendecompose, estimate_aoa, music_spectrum, spatial_spectrum
 from .hybrid import hybrid_position

@@ -209,31 +209,3 @@ def simulate_snapshots(
     if m:
         x = x + math.sqrt(npow / 2.0) * (z[2 * k : 2 * k + m] + 1j * z[2 * k + m :])
     return SnapshotMatrix(x, array)
-
-
-def snapshots_to_csv(snap: SnapshotMatrix) -> str:
-    """One row per sensor; each snapshot contributes a re,im value pair."""
-    lines = []
-    for row in snap.data:
-        parts = []
-        for v in row:
-            parts.append(repr(float(v.real)))
-            parts.append(repr(float(v.imag)))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def snapshots_from_csv(text: str, spacing_wavelengths: float) -> SnapshotMatrix:
-    """Parse the snapshots_to_csv format. Spacing is not stored in the CSV."""
-    rows = []
-    for line in text.strip().splitlines():
-        vals = [float(v) for v in line.split(",")]
-        if len(vals) % 2 != 0:
-            raise ValueError("each row needs an even number of values (re,im pairs)")
-        arr = np.array(vals).reshape(-1, 2)
-        rows.append(arr[:, 0] + 1j * arr[:, 1])
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("snapshot CSV must contain at least two sensor rows")
-    array = ArraySpec(m=data.shape[0], spacing_wavelengths=spacing_wavelengths, snapshots=data.shape[1])
-    return SnapshotMatrix(data, array)

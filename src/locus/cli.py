@@ -17,8 +17,8 @@ import numpy as np
 
 from . import neural
 from .aoa import estimate_aoa, grid_size, music_spectrum
-from .channel import ArraySpec, PathLossParams, simulate_rssi, simulate_snapshots, snapshots_from_csv, snapshots_to_csv
-from .environment import STANDARD_ROOMS, load_environment, make_environment
+from .channel import ArraySpec, PathLossParams, SnapshotMatrix, simulate_rssi, simulate_snapshots
+from .environment import STANDARD_ROOMS, load_environment, standard_environment
 from .hybrid import hybrid_position
 from .pipeline import (
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .pipeline import (
     run_experiment,
     split,
 )
-from .plfit import fit_path_loss, read_fit_samples_csv
+from .plfit import fit_path_loss
 from .trilat import rssi_distances, trilaterate
 
 
@@ -62,14 +62,65 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _parse_floats(text, n=None, what="values"):
-    try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse {what}: {text!r}")
+def _floats(text, what, n=None):
+    """The comma separated numbers of text. ValueError naming `what` for a field
+    that is empty or not a number, or for a count other than n when n is given."""
+    vals = []
+    for j, field in enumerate(text.split(","), 1):
+        try:
+            vals.append(float(field))
+        except ValueError:
+            raise ValueError(f"field {j} of the {what} is not a number: {field.strip()!r}") from None
     if n is not None and len(vals) != n:
         raise ValueError(f"expected {n} {what}, got {len(vals)}")
     return vals
+
+
+def _is_header(line):
+    """True when a non-empty field of the CSV line is not a number."""
+    try:
+        [float(field) for field in line.split(",") if field.strip()]
+    except ValueError:
+        return True
+    return False
+
+
+def _read_rows(path, what, n=None):
+    """The rows of a CSV file of numbers as a (rows, n) array; n defaults to the first row's count.
+
+    Blank lines are skipped, and so is the first non-blank line if it is a
+    header. Any other bad row raises ValueError naming the file and its line,
+    counted from 1.
+    """
+    with open(path) as f:
+        lines = [(i, line) for i, line in enumerate(f, 1) if line.strip()]
+    if lines and _is_header(lines[0][1]):
+        lines = lines[1:]
+    if not lines:
+        raise ValueError(f"{path} has no data rows")
+    rows = []
+    for i, line in lines:
+        try:
+            rows.append(_floats(line, what, n))
+        except ValueError as e:
+            raise ValueError(f"{path} line {i}: {e}") from None
+        n = len(rows[0])
+    return np.array(rows)
+
+
+def _snapshots_csv(x: SnapshotMatrix) -> str:
+    """The snapshot file `locus aoa` reads: one row per sensor, a re,im pair per snapshot."""
+    pairs = np.stack([x.data.real, x.data.imag], axis=-1).reshape(len(x.data), -1)
+    return "".join(",".join(map(repr, row)) + "\n" for row in pairs.tolist())
+
+
+def _read_snapshots(path, spacing_wavelengths) -> SnapshotMatrix:
+    """The snapshots of a file that _snapshots_csv wrote; the spacing is not stored there."""
+    rows = _read_rows(path, "values")
+    if rows.shape[0] < 2 or rows.shape[1] % 2:
+        raise ValueError(f"{path}: expected two or more sensor rows of re,im pairs, got shape {rows.shape}")
+    array = ArraySpec(rows.shape[0], spacing_wavelengths, rows.shape[1] // 2)
+    return SnapshotMatrix(rows[:, 0::2] + 1j * rows[:, 1::2], array)
 
 
 def _grid_step(text):
@@ -81,30 +132,20 @@ def _grid_step(text):
     return float(text)
 
 
-def _load_env(args):
-    if getattr(args, "env", None):
-        return load_environment(args.env)
-    if getattr(args, "room", None):
-        length, width = STANDARD_ROOMS[args.room]
-        return make_environment(args.room, length, width)
-    raise ValueError("pass --env FILE or --room NAME")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_fit(args):
-    with open(args.input) as f:
-        samples = read_fit_samples_csv(f.read())
-    result = fit_path_loss(samples, d0=args.d0)
+    rows = _read_rows(args.input, "values", 2)
+    result = fit_path_loss(rows[:, 0], rows[:, 1], d0=args.d0)
     _print_json({**asdict(result.params), "residual_rms": result.residual_rms, "n_samples": result.n_samples})
     return 0
 
 
 def _cmd_simulate_rssi(args):
     params = PathLossParams(args.gamma, args.sigma, args.p_r_d0, args.d0)
-    dists = _parse_floats(args.distances, what="distances")
+    dists = _floats(args.distances, "distances")
     rng = np.random.default_rng(args.seed)
     rows = [(d, simulate_rssi(params, d, rng)) for d in dists for _ in range(args.n)]
     if args.format == "csv":
@@ -118,10 +159,10 @@ def _cmd_simulate_rssi(args):
 
 def _cmd_simulate_snapshots(args):
     spec = ArraySpec(m=args.m, spacing_wavelengths=args.spacing, snapshots=args.snapshots)
-    angles = _parse_floats(args.angles, what="angles")
+    angles = _floats(args.angles, "angles")
     rng = np.random.default_rng(args.seed)
     x = simulate_snapshots(spec, angles, noise_power_db=-args.snr_db, rng=rng)
-    text = snapshots_to_csv(x)
+    text = _snapshots_csv(x)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -145,28 +186,32 @@ def _cmd_simulate_dataset(args):
 
 
 def _cmd_locate(args):
-    env = _load_env(args)
+    if args.env:
+        env = load_environment(args.env)
+    elif args.room:
+        env = standard_environment(args.room)
+    else:
+        raise ValueError("pass --env FILE or --room NAME")
     if args.params:
         params = path_loss_from_dict(_read_json(args.params))
     elif args.gamma is None or args.p_r_d0 is None:
         raise ValueError("pass --params FILE or --gamma/--p-r-d0 (and optionally --sigma/--d0)")
     else:
         params = PathLossParams(args.gamma, args.sigma, args.p_r_d0, args.d0)
-    rssi = _parse_floats(args.rssi, 3, "rssi values")
+    rssi = _floats(args.rssi, "rssi values", 3)
     if args.method == "trilat":
         est = trilaterate(env, params, rssi)
     else:
         if not args.aoa:
             raise ValueError("--method hybrid needs --aoa A1,A2,A3")
-        thetas = _parse_floats(args.aoa, 3, "angles")
+        thetas = _floats(args.aoa, "angles", 3)
         est = hybrid_position(env, rssi_distances(params, rssi), thetas)
     _print_json({"x": est.p.x, "y": est.p.y, "residual": est.residual})
     return 0
 
 
 def _cmd_aoa(args):
-    with open(args.input) as f:
-        x = snapshots_from_csv(f.read(), spacing_wavelengths=args.spacing)
+    x = _read_snapshots(args.input, args.spacing)
     if args.spectrum:
         grid, power = music_spectrum(x, args.k, args.grid_step)
         with open(args.spectrum, "w") as f:
@@ -217,20 +262,9 @@ def _finite_rows(values, what):
 def _cmd_predict(args):
     model, stats, _ = _load_model(args.model)
     if args.features:
-        rows = [_parse_floats(part, model.input_dim, "features") for part in args.features.split(";")]
+        rows = [_floats(part, "features", model.input_dim) for part in args.features.split(";")]
     elif args.input:
-        with open(args.input) as f:
-            rows = []
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(_parse_floats(line, model.input_dim, "features"))
-                except ValueError:
-                    if rows:
-                        raise
-                    continue  # tolerate a single header line
+        rows = _read_rows(args.input, "features", model.input_dim)
     else:
         raise ValueError("pass --features or --input")
     x = _finite_rows(np.array(rows, dtype=float), "feature row")

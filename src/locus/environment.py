@@ -28,16 +28,6 @@ DEFAULT_FRAMES = {1: (1, 1), 2: (1, -1), 3: (-1, -1)}
 # Anchors must span a real triangle (square meters).
 MIN_TRIANGLE_AREA = 1e-6
 
-STANDARD_ROOMS = {
-    "big_classroom": (13.0, 13.0),
-    "corridor": (12.0, 4.0),
-    "small_classroom": (9.0, 7.0),
-}
-
-# Fixed jitter seeds so the default test points of the standard rooms are
-# stable across runs.
-_STANDARD_POINT_SEEDS = {"big_classroom": 11, "corridor": 12, "small_classroom": 13}
-
 
 @dataclass(frozen=True)
 class Point2D:
@@ -148,22 +138,21 @@ def true_aoa(env: Environment, anchor_id: int, p: Point2D) -> float:
     return deg
 
 
-def jittered_grid(length, width, n, seed, margin_frac=0.12, jitter_frac=0.3):
+def jittered_grid(length, width, n, seed):
     """n interior points on a jittered grid, rows x cols chosen by aspect ratio.
 
-    Margins keep every point away from the walls (and hence the corner
-    anchors) even at maximum jitter.
+    Points sit within 0.3 cell of their cell's center; margins of 0.12 room keep
+    them away from the walls (and the corner anchors) even at maximum jitter.
     """
     if n < 1:
         raise ValueError("need at least one point")
     rows = max(1, int(round(math.sqrt(n * width / length))))
     cols = int(math.ceil(n / rows))
-    mx = margin_frac * length
-    my = margin_frac * width
+    mx, my = 0.12 * length, 0.12 * width
     cw = (length - 2 * mx) / cols
     ch = (width - 2 * my) / rows
     rng = np.random.default_rng(seed)
-    jit = rng.uniform(-jitter_frac, jitter_frac, size=(rows * cols, 2))[:n]
+    jit = rng.uniform(-0.3, 0.3, size=(rows * cols, 2))[:n]
     # Row-major cells: point i sits in row i // cols, column i % cols.
     r, c = np.divmod(np.arange(n), cols)
     px, py = mx + (c + 0.5 + jit[:, 0]) * cw, my + (r + 0.5 + jit[:, 1]) * ch
@@ -192,15 +181,19 @@ class GridRoom:
         return make_environment(self.name, self.length_m, self.width_m, points)
 
 
+# The built-in rooms; fixed jitter seeds keep their test points stable across runs.
+STANDARD_ROOMS = {
+    "big_classroom": GridRoom("big_classroom", 13.0, 13.0, test_point_seed=11),
+    "corridor": GridRoom("corridor", 12.0, 4.0, test_point_seed=12),
+    "small_classroom": GridRoom("small_classroom", 9.0, 7.0, test_point_seed=13),
+}
+
+
 def standard_environment(name: str) -> Environment:
-    """One of the three built-in rooms with its default jittered test points."""
+    """One of the built-in rooms with its default jittered test points."""
     if name not in STANDARD_ROOMS:
         raise ValueError(f"unknown room {name!r}; choices: {sorted(STANDARD_ROOMS)}")
-    return GridRoom(name, *STANDARD_ROOMS[name], test_point_seed=_STANDARD_POINT_SEEDS[name]).environment()
-
-
-def standard_environments() -> list[Environment]:
-    return [standard_environment(name) for name in STANDARD_ROOMS]
+    return STANDARD_ROOMS[name].environment()
 
 
 def environment_to_dict(env: Environment) -> dict:

@@ -44,12 +44,7 @@ class TrainSpec:
 
 @dataclass
 class TrainResult:
-    model: "Regressor"
     loss_history: np.ndarray
-
-    @property
-    def final_loss(self):
-        return self.loss_history[-1]
 
 
 def _xavier(rng, fan_in, fan_out, shape):
@@ -249,18 +244,15 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
     return centers
 
 
-def rbf_widths(centers: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+def rbf_widths(centers: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Per-center width: mean distance to the 2 nearest other centers.
 
-    A single center falls back to the mean distance of the data to it (1.0
-    if no data is given). Widths are floored at a small positive value.
+    A single center falls back to the mean distance of the data to it.
+    Widths are floored at a small positive value.
     """
     k = centers.shape[0]
     if k == 1:
-        if data is not None and data.shape[0] > 0:
-            w = float(np.mean(np.linalg.norm(data - centers[0], axis=1)))
-        else:
-            w = 1.0
+        w = float(np.mean(np.linalg.norm(data - centers[0], axis=1)))
         return np.array([max(w, WIDTH_FLOOR)])
     d = np.sqrt(np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2))
     # Each sorted row starts with the center's zero distance to itself.
@@ -465,7 +457,7 @@ def train(model: Regressor, x, y, spec: TrainSpec, steps: int, seeds) -> TrainRe
                 g *= lr  # in place; the same bits as params[name] -= lr * g
                 params[name] -= g
             history[step] = loss
-    return TrainResult(model=model, loss_history=history)
+    return TrainResult(history)
 
 
 def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:

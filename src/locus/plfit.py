@@ -11,26 +11,11 @@ standard deviation with an n - 2 denominator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathLossParams
-
-
-@dataclass(frozen=True)
-class FitSample:
-    """One calibration measurement: distance in meters, received power in dBm."""
-
-    d: float
-    rssi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.d) and math.isfinite(self.rssi)):
-            raise ValueError("fit samples must be finite")
-        if not self.d > 0:
-            raise ValueError(f"distance must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -40,19 +25,24 @@ class FitResult:
     n_samples: int
 
 
-def fit_path_loss(samples: list[FitSample], d0: float = 1.0) -> FitResult:
-    """Least-squares fit of the log-distance model to pooled samples.
+def fit_path_loss(d, rssi, d0: float = 1.0) -> FitResult:
+    """Least-squares fit of the log-distance model to pooled samples: distances
+    d in meters and their received powers rssi in dBm.
 
-    Needs at least 3 samples spanning at least 2 distinct distances (the
-    intercept/slope system is rank deficient otherwise).
+    Needs finite samples, positive distances, and at least 3 samples spanning
+    at least 2 distinct distances (the intercept/slope system is rank
+    deficient otherwise).
     """
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
-    n = len(samples)
+    d, rssi = np.asarray(d, dtype=float), np.asarray(rssi, dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(rssi).all()):
+        raise ValueError("fit samples must be finite")
+    if not (d > 0).all():
+        raise ValueError(f"distance must be positive, got {d[d <= 0][0]}")
+    if not 0 < d0 < np.inf:
+        raise ValueError(f"d0 must be positive and finite, got {d0}")
+    n = d.size
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
-    d = np.array([s.d for s in samples])
-    rssi = np.array([s.rssi for s in samples])
     if np.unique(d).size < 2:
         raise ValueError("all distances identical; slope is unidentifiable")
     x = np.log10(d / d0)
@@ -70,23 +60,3 @@ def fit_path_loss(samples: list[FitSample], d0: float = 1.0) -> FitResult:
         residual_rms=residual_rms,
         n_samples=n,
     )
-
-
-def read_fit_samples_csv(text: str) -> list[FitSample]:
-    """Parse 'd_m,rssi_dbm' CSV text; a single header line is tolerated."""
-    samples = []
-    for i, line in enumerate(text.strip().splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {i + 1}: expected 2 columns, got {len(parts)}")
-        try:
-            d, rssi = float(parts[0]), float(parts[1])
-        except ValueError:
-            if i == 0:
-                continue  # header
-            raise ValueError(f"line {i + 1}: non-numeric values {parts}")
-        samples.append(FitSample(d=d, rssi=rssi))
-    return samples

@@ -28,10 +28,10 @@ from locus.channel import (
     steering_matrix,
 )
 from locus.cli import main as cli_main
-from locus.environment import Point2D, standard_environment, standard_environments, true_aoa, true_distance
+from locus.environment import STANDARD_ROOMS, Point2D, standard_environment, true_aoa, true_distance
 from locus.hybrid import hybrid_position
 from locus.pipeline import NormStats, generate_dataset, load_config, run_experiment, split
-from locus.plfit import FitSample, fit_path_loss
+from locus.plfit import fit_path_loss
 from locus.trilat import DistanceVector, trilaterate
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,7 +63,7 @@ def test_roundtrip_geometry(verdict):
     worst_hybrid = 0.0
     worst_trilat = 0.0
     rng = np.random.default_rng(2026)
-    for env in standard_environments():
+    for env in map(standard_environment, STANDARD_ROOMS):
         length, width = env.length, env.width
         anchors = np.array([[a.position.x, a.position.y] for a in env.anchors])
         pts = np.empty((0, 2))
@@ -99,8 +99,7 @@ def test_path_loss_recovery(verdict):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         dists = rng.uniform(1.0, 15.0, size=1000)
-        samples = [FitSample(d=float(d), rssi=simulate_rssi(truth, float(d), rng)) for d in dists]
-        result = fit_path_loss(samples)
+        result = fit_path_loss(dists, [simulate_rssi(truth, float(d), rng) for d in dists])
         gammas.append(result.params.gamma)
         sigmas.append(result.params.sigma)
     g_med = statistics.median(gammas)

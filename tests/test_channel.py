@@ -12,8 +12,6 @@ from locus.channel import (
     expected_rssi,
     simulate_rssi,
     simulate_snapshots,
-    snapshots_from_csv,
-    snapshots_to_csv,
     steering_matrix,
 )
 
@@ -209,12 +207,3 @@ def test_simulate_snapshots_rejects_nan_noise_power():
     # -inf stays the noiseless flag.
     x = simulate_snapshots(spec, [10.0], noise_power_db=-math.inf, rng=np.random.default_rng(0))
     assert np.linalg.matrix_rank(x.data) == 1
-
-
-def test_snapshot_csv_roundtrip():
-    spec = ArraySpec(m=5, spacing_wavelengths=0.5, snapshots=12)
-    rng = np.random.default_rng(8)
-    x = simulate_snapshots(spec, [-5.0], noise_power_db=-10.0, rng=rng)
-    back = snapshots_from_csv(snapshots_to_csv(x), spacing_wavelengths=0.5)
-    assert back.array.m == 5 and back.array.snapshots == 12
-    assert np.array_equal(back.data, x.data)

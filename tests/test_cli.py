@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from locus import cli, pipeline
-from locus.channel import PathLossParams, expected_rssi
+from locus.channel import ArraySpec, PathLossParams, expected_rssi, simulate_snapshots
 from locus.cli import main
 from locus.environment import Point2D, environment_to_dict, make_environment, true_aoa, true_distance
 from locus.pipeline import OutlierPolicy, generate_dataset, load_config
@@ -666,6 +667,92 @@ def test_predict_rejects_a_prediction_that_overflows(capsys, tmp_path, good_file
     assert "prediction for feature row 1 is not finite" in err
 
 
+# ---------------------------------------------------------------------------
+# number lists read from flags and CSV files
+
+FEATURES = "-50,-60,-55,10,20,30"
+
+# (case, argv with {file} and {model} placeholders, text of {file} or None, words the error must name)
+BAD_TEXT = [
+    ("ragged_snapshot_row", ["aoa", "--input", "{file}"], "1,0,2,0,3,0\n1,0,2,0\n",
+     ["in.csv line 2:", "expected 6 values, got 4"]),
+    ("odd_snapshot_width", ["aoa", "--input", "{file}"], "1,0,2\n3,0,4\n", ["in.csv:", "re,im pairs", "(2, 3)"]),
+    ("empty_field_rssi_flag", ["locate", "--room", "corridor", "--gamma", "2.5", "--p-r-d0=-40",
+                               "--rssi=-52.1,,-63.9,-60.2"], None, ["field 2 of the rssi values", "''"]),
+    ("empty_field_distances_flag", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=1,2,"],
+     None, ["field 3 of the distances"]),
+    ("empty_field_features_flag", ["predict", "--model", "{model}", f"--features={FEATURES};-50,,-55,10,20,30"],
+     None, ["field 2 of the features"]),
+    ("empty_field_fit_row", ["fit", "--input", "{file}"], "distance_m,rssi_dbm\n1,-40\n\n2,\n4,-55\n",
+     ["in.csv line 4:", "field 2 of the values", "''"]),
+    ("empty_field_snapshot_row", ["aoa", "--input", "{file}"], "1,0,2,0\n1,,2,0\n", ["in.csv line 2:", "field 2"]),
+    ("text_field_predict_row", ["predict", "--model", "{model}", "--input", "{file}"],
+     f"{FEATURES}\n-50,-60,loud,10,20,30\n", ["in.csv line 2:", "field 3 of the features", "'loud'"]),
+    ("header_only_fit", ["fit", "--input", "{file}"], "distance_m,rssi_dbm\n\n", ["in.csv has no data rows"]),
+    ("header_only_snapshots", ["aoa", "--input", "{file}"], "re0,im0,re1,im1\n", ["in.csv has no data rows"]),
+    ("empty_file_predict", ["predict", "--model", "{model}", "--input", "{file}"], "", ["in.csv has no data rows"]),
+    ("short_numeric_first_line_predict", ["predict", "--model", "{model}", "--input", "{file}"],
+     f"1,2,3\n{FEATURES}\n", ["in.csv line 1:", "expected 6 features, got 3"]),
+    ("wide_numeric_first_line_fit", ["fit", "--input", "{file}"], "1,-40,0\n2,-47\n4,-55\n",
+     ["in.csv line 1:", "expected 2 values, got 3"]),
+]
+
+
+@pytest.mark.parametrize("case,argv,text,words", BAD_TEXT, ids=[c[0] for c in BAD_TEXT])
+def test_malformed_number_text_exits_2_naming_where(capsys, tmp_path, good_files, case, argv, text, words):
+    _, model_doc = good_files
+    model_path, path = tmp_path / "model.json", tmp_path / "in.csv"
+    model_path.write_text(json.dumps(model_doc))
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run(capsys, [a.format(file=path, model=model_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+
+
+def test_blank_lines_inside_each_csv_are_skipped(capsys, tmp_path, good_files):
+    _, model_doc = good_files
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_doc))
+    snap = tmp_path / "snap.csv"
+    assert _run(capsys, ["simulate", "snapshots", "--angles=17.3", "--snapshots", "16", "--out", str(snap)])[0] == 0
+    files = {
+        "fit": ("distance_m,rssi_dbm\n1,-40\n2,-47.6\n4,-55\n8,-62.4\n", []),
+        "aoa": (snap.read_text(), []),
+        "predict": (f"{FEATURES}\n-52,-58,-57,12,18,33\n-49,-61,-54,9,21,29\n", ["--model", str(model_path)]),
+    }
+    for command, (text, extra) in files.items():
+        outputs = []
+        for content in (text, "\n" + text.replace("\n", "\n\n  \n", 2)):
+            path = tmp_path / f"{command}.csv"
+            path.write_text(content)
+            code, out, err = _run(capsys, [command, "--input", str(path), *extra])
+            assert code == 0, (command, err)
+            outputs.append(out)
+        assert outputs[0] == outputs[1], command
+
+
+def test_snapshot_csv_roundtrip(tmp_path):
+    spec = ArraySpec(m=5, spacing_wavelengths=0.5, snapshots=12)
+    rng = np.random.default_rng(8)
+    x = simulate_snapshots(spec, [-5.0], noise_power_db=-10.0, rng=rng)
+    path = tmp_path / "snap.csv"
+    path.write_text(cli._snapshots_csv(x))
+    back = cli._read_snapshots(path, 0.5)
+    assert back.array == spec
+    assert back.data.tobytes() == x.data.tobytes()
+
+
+def test_fit_csv_with_header(tmp_path):
+    path = tmp_path / "fit.csv"
+    path.write_text("distance_m,rssi_dbm\n1.0,-40.0\n5.5,-61.2\n9.0,-66.0\n")
+    rows = cli._read_rows(path, "values", 2)
+    assert rows.shape == (3, 2)
+    assert rows[1].tolist() == [5.5, -61.2]
+
+
 def test_print_json_refuses_nan(capsys):
     with pytest.raises(ValueError):
         cli._print_json({"overall_mae_mm": float("nan")})
@@ -677,17 +764,20 @@ def test_print_json_refuses_nan(capsys):
 
 
 def test_module_invocation():
+    # The child imports the locus package this test imported, installed or not.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "locus.cli", "simulate", "rssi",
          "--gamma", "2.5", "--p-r-d0=-40", "--distances", "1,2", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "distance_m,rssi_dbm"
 
     proc = subprocess.run(
         [sys.executable, "-m", "locus.cli", "fit", "--input", "/missing.csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
     assert "locus: error:" in proc.stderr

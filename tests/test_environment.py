@@ -16,7 +16,6 @@ from locus.environment import (
     jittered_grid,
     make_environment,
     standard_environment,
-    standard_environments,
     true_aoa,
     true_distance,
 )
@@ -167,8 +166,8 @@ def test_jittered_grid_margin():
 
 
 def test_standard_environments():
-    envs = standard_environments()
-    assert {e.name for e in envs} == set(STANDARD_ROOMS)
+    for name, room in STANDARD_ROOMS.items():
+        assert room.name == standard_environment(name).name == name
     big = standard_environment("big_classroom")
     assert (big.length, big.width) == (13.0, 13.0)
     assert len(big.test_points) == 10

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from locus.channel import PathLossParams, expected_rssi, simulate_rssi
-from locus.plfit import FitSample, fit_path_loss, read_fit_samples_csv
+from locus.plfit import fit_path_loss
 
 
 def test_exact_recovery_noise_free():
     """Three points on an exact log-distance line: gamma 2.5, offset -40."""
-    samples = [
-        FitSample(1.0, -40.0),
-        FitSample(10.0, -65.0),
-        FitSample(100.0, -90.0),
-    ]
-    res = fit_path_loss(samples)
+    res = fit_path_loss([1.0, 10.0, 100.0], [-40.0, -65.0, -90.0])
     assert res.params.gamma == pytest.approx(2.5, abs=1e-12)
     assert res.params.p_r_d0 == pytest.approx(-40.0, abs=1e-12)
     assert res.params.sigma == pytest.approx(0.0, abs=1e-9)
@@ -27,7 +22,7 @@ def test_against_polyfit_oracle():
     rng = np.random.default_rng(42)
     d = rng.uniform(1.0, 40.0, 200)
     rssi = -38.0 - 10 * 2.2 * np.log10(d) + rng.normal(0, 2.5, 200)
-    res = fit_path_loss([FitSample(di, ri) for di, ri in zip(d, rssi)])
+    res = fit_path_loss(d, rssi)
     slope, intercept = np.polyfit(-10.0 * np.log10(d), rssi, 1)
     assert res.params.gamma == pytest.approx(slope, abs=1e-9)
     assert res.params.p_r_d0 == pytest.approx(intercept, abs=1e-9)
@@ -41,34 +36,29 @@ def test_monte_carlo_parameter_recovery():
     p = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
     rng = np.random.default_rng(7)
     d = rng.uniform(1.0, 30.0, 1000)
-    samples = [FitSample(di, simulate_rssi(p, di, rng)) for di in d]
-    res = fit_path_loss(samples)
+    res = fit_path_loss(d, [simulate_rssi(p, di, rng) for di in d])
     assert abs(res.params.gamma - 2.5) < 0.1
     assert abs(res.params.sigma - 3.0) < 0.3
     assert abs(res.params.p_r_d0 - (-40.0)) < 1.0
 
 
 def test_preconditions():
-    with pytest.raises(ValueError):
-        fit_path_loss([FitSample(1.0, -40.0), FitSample(2.0, -45.0)])
-    with pytest.raises(ValueError):
-        fit_path_loss([FitSample(2.0, -40.0)] * 5)  # one distinct distance
-    with pytest.raises(ValueError):
-        FitSample(0.0, -40.0)
-    with pytest.raises(ValueError):
-        FitSample(1.0, float("nan"))
+    with pytest.raises(ValueError, match="need at least 3 samples, got 2"):
+        fit_path_loss([1.0, 2.0], [-40.0, -45.0])
+    with pytest.raises(ValueError, match="all distances identical"):
+        fit_path_loss([2.0] * 5, [-40.0] * 5)  # one distinct distance
+    with pytest.raises(ValueError, match="distance must be positive, got 0.0"):
+        fit_path_loss([1.0, 0.0, 2.0], [-40.0, -40.0, -45.0])
+    with pytest.raises(ValueError, match="fit samples must be finite"):
+        fit_path_loss([1.0, 2.0, 3.0], [-40.0, float("nan"), -45.0])
+    with pytest.raises(ValueError, match="fit samples must be finite"):
+        fit_path_loss([1.0, float("inf"), 3.0], [-40.0, -41.0, -45.0])
+    for d0 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="d0 must be positive and finite"):
+            fit_path_loss([1.0, 2.0, 3.0], [-40.0, -41.0, -45.0], d0=d0)
 
 
 def test_nonphysical_fit_rejected():
     # rssi increasing with distance fits a negative exponent
-    samples = [FitSample(1.0, -80.0), FitSample(10.0, -60.0), FitSample(100.0, -40.0)]
-    with pytest.raises(ValueError):
-        fit_path_loss(samples)
-
-
-def test_csv_parsing_with_header():
-    text = "distance_m,rssi_dbm\n1.0,-40.0\n5.5,-61.2\n9.0,-66.0\n"
-    samples = read_fit_samples_csv(text)
-    assert len(samples) == 3
-    assert samples[1].d == 5.5
-    assert samples[1].rssi == -61.2
+    with pytest.raises(ValueError, match="fitted path loss exponent .* is not positive"):
+        fit_path_loss([1.0, 10.0, 100.0], [-80.0, -60.0, -40.0])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from locus.environment import STANDARD_ROOMS, standard_environment
+from locus.environment import STANDARD_ROOMS
 from locus.pipeline import cell_seeds, config_to_dict, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,10 +37,7 @@ def config():
 def test_reference_rooms_are_the_standard_rooms(config):
     assert [spec.env.name for spec in config.envs] == list(RECORDED_REJECTS)
     for spec in config.envs:
-        name = spec.env.name
-        assert (spec.env.length, spec.env.width) == STANDARD_ROOMS[name]
-        # standard_environment jitters its grid with _STANDARD_POINT_SEEDS[name]
-        assert spec.env.test_points == standard_environment(name).test_points
+        assert spec.env == STANDARD_ROOMS[spec.env.name].environment()
 
 
 def test_reference_seeds_and_sample_count(config):
