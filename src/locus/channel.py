@@ -157,7 +157,9 @@ def per_anchor_params(params) -> list[PathLossParams]:
 
 
 def expected_rssi(params: PathLossParams, d: float) -> float:
-    """Mean received power at distance d (meters), in dBm. Requires d >= d0."""
+    """Mean received power at distance d (meters), in dBm. Requires a finite d >= d0."""
+    if not math.isfinite(d):
+        raise ValueError(f"distance must be a finite number, got {d}")
     if d < params.d0:
         raise ValueError(f"distance {d} below reference distance {params.d0}")
     return params.p_r_d0 - 10.0 * params.gamma * math.log10(d / params.d0)

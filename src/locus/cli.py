@@ -21,6 +21,7 @@ from .channel import ArraySpec, PathLossParams, SnapshotMatrix, simulate_rssi, s
 from .environment import STANDARD_ROOMS, load_environment, standard_environment
 from .hybrid import hybrid_position
 from .pipeline import (
+    LAYOUTS,
     ExperimentConfig,
     MusicSpec,
     NormStats,
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sim.add_parser("dataset", help="generate a measurement dataset for one environment")
     q.add_argument("--config", required=True, help="experiment config JSON")
     q.add_argument("--env-name", required=True)
-    q.add_argument("--layout", choices=["rssi", "hybrid"], default="hybrid")
+    q.add_argument("--layout", choices=LAYOUTS, default="hybrid")
     q.add_argument("--n-per-point", type=int, default=None)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a position regressor on a dataset file")
     p.add_argument("--data", required=True, help="dataset JSON from simulate dataset")
-    p.add_argument("--model", choices=["mlp", "rbf", "cnn"], required=True)
+    p.add_argument("--model", choices=tuple(neural.FAMILIES), required=True)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--learning-rate", type=float, default=neural.TrainSpec.learning_rate)
     p.add_argument("--batch-size", type=int, default=neural.TrainSpec.batch_size)

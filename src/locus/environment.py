@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_bound, json_form, read_section
+from .channel import check_bound, read_section
 
 # Default sign frames per anchor id. Anchor 1 adds both offsets, anchor 2
 # flips the y offset, anchor 3 flips both.
@@ -48,54 +48,60 @@ class Point2D:
 
 @dataclass(frozen=True)
 class Anchor:
-    """A fixed transmitter with a known position and angle sign frame."""
+    """A fixed transmitter: its id, its position (x, y) and its sign frame
+    (sx, sy). The fields are the keys of an anchor in a room file."""
 
     id: int
-    position: Point2D
-    frame: tuple[int, int]
+    x: float
+    y: float
+    sx: int
+    sy: int
 
     def __post_init__(self):
         if self.id not in (1, 2, 3):
-            raise ValueError(f"anchor id must be 1, 2 or 3, got {self.id}")
-        sx, sy = self.frame
-        if sx not in (-1, 1) or sy not in (-1, 1):
-            raise ValueError(f"frame signs must be -1 or +1, got {self.frame}")
+            raise ValueError(f"id must be 1, 2 or 3, got {self.id}")
+        for name in ("sx", "sy"):
+            if getattr(self, name) not in (-1, 1):
+                raise ValueError(f"{name} must be -1 or +1, got {getattr(self, name)}")
+        object.__setattr__(self, "position", Point2D(self.x, self.y))
+        object.__setattr__(self, "x", self.position.x)
+        object.__setattr__(self, "y", self.position.y)
+        object.__setattr__(self, "frame", (self.sx, self.sy))
 
 
 @dataclass(frozen=True)
 class Environment:
-    """A rectangular room with exactly three anchors and a set of test points."""
+    """A rectangular room with exactly three anchors and a set of test points.
+    The fields are the keys of a room file, read by read_section and written
+    by json_form."""
 
     name: str
-    length: float
-    width: float
-    anchors: tuple[Anchor, Anchor, Anchor]
+    length_m: float
+    width_m: float
+    anchors: tuple[Anchor, ...]
     test_points: tuple[Point2D, ...]
 
     def __post_init__(self):
-        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
-            raise ValueError(f"room dimensions must be positive and finite, got {self.length} x {self.width}")
+        for name in ("length_m", "width_m"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if len(self.anchors) != 3:
-            raise ValueError(f"exactly 3 anchors required, got {len(self.anchors)}")
+            raise ValueError(f"anchors must hold exactly 3 anchors, got {len(self.anchors)}")
         if sorted(a.id for a in self.anchors) != [1, 2, 3]:
-            raise ValueError("anchor ids must be exactly {1, 2, 3}")
+            raise ValueError(f"anchors must have the ids 1, 2 and 3, got {[a.id for a in self.anchors]}")
         pos = [a.position for a in self.anchors]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if pos[i].x == pos[j].x and pos[i].y == pos[j].y:
-                    raise ValueError("anchor positions must be pairwise distinct")
+        if len(set(pos)) < 3:
+            raise ValueError("anchors must stand at pairwise distinct positions")
         # Twice the signed triangle area.
         cross = (pos[1].x - pos[0].x) * (pos[2].y - pos[0].y) - (pos[1].y - pos[0].y) * (
             pos[2].x - pos[0].x
         )
         if abs(cross) / 2.0 <= MIN_TRIANGLE_AREA:
-            raise ValueError("anchors are collinear (triangle area too small)")
-        for p in self.test_points:
-            if not self.contains(p):
-                raise ValueError(f"test point ({p.x}, {p.y}) outside room")
-
-    def contains(self, p: Point2D) -> bool:
-        return 0.0 <= p.x <= self.length and 0.0 <= p.y <= self.width
+            raise ValueError(f"anchors are collinear: their triangle's area, {abs(cross) / 2.0} m^2, "
+                             f"is at most {MIN_TRIANGLE_AREA}")
+        for i, p in enumerate(self.test_points):
+            if not (0.0 <= p.x <= self.length_m and 0.0 <= p.y <= self.width_m):
+                raise ValueError(f"test_points[{i}] ({p.x}, {p.y}) lies outside the room")
 
     def anchor(self, anchor_id: int) -> Anchor:
         for a in self.anchors:
@@ -110,8 +116,8 @@ def make_environment(name, length, width, test_points=()) -> Environment:
     Anchor 1 sits at (0, 0), anchor 2 at (length, 0), anchor 3 at (0, width),
     each with its default sign frame.
     """
-    corners = {1: Point2D(0.0, 0.0), 2: Point2D(float(length), 0.0), 3: Point2D(0.0, float(width))}
-    anchors = tuple(Anchor(i, corners[i], DEFAULT_FRAMES[i]) for i in (1, 2, 3))
+    corners = {1: (0.0, 0.0), 2: (length, 0.0), 3: (0.0, width)}
+    anchors = tuple(Anchor(i, *corners[i], *DEFAULT_FRAMES[i]) for i in (1, 2, 3))
     return Environment(str(name), float(length), float(width), anchors, tuple(test_points))
 
 
@@ -196,44 +202,8 @@ def standard_environment(name: str) -> Environment:
     return STANDARD_ROOMS[name].environment()
 
 
-def environment_to_dict(env: Environment) -> dict:
-    anchors = tuple(AnchorEntry(a.id, a.position.x, a.position.y, *a.frame) for a in env.anchors)
-    return json_form(ListedRoom(env.name, env.length, env.width, anchors, env.test_points))
-
-
-@dataclass(frozen=True)
-class AnchorEntry:
-    """An anchor as a room file lists it: its id, position and sign frame."""
-
-    id: int
-    x: float
-    y: float
-    sx: int
-    sy: int
-
-
-@dataclass(frozen=True)
-class ListedRoom:
-    """A room as environment_to_dict writes it; its fields are the file's keys."""
-
-    name: str
-    length_m: float
-    width_m: float
-    anchors: tuple[AnchorEntry, ...]
-    test_points: tuple[Point2D, ...]
-
-    def environment(self) -> Environment:
-        anchors = tuple(Anchor(a.id, Point2D(a.x, a.y), (a.sx, a.sy)) for a in self.anchors)
-        return Environment(self.name, self.length_m, self.width_m, anchors, self.test_points)
-
-
-def environment_from_dict(d: dict, prefix: str = "") -> Environment:
-    """Inverse of environment_to_dict. Every key is read strictly (see
-    read_section): an unknown or missing key, or a value of the wrong type,
-    raises ValueError naming prefix + its path, such as anchors[0].zz."""
-    return read_section(ListedRoom, d, prefix).environment()
-
-
 def load_environment(path) -> Environment:
+    """The room of a room file. Every key is read strictly (see read_section):
+    a bad key or value raises ValueError naming its path, such as anchors[0].id."""
     with open(path) as f:
-        return environment_from_dict(json.load(f))
+        return read_section(Environment, json.load(f), "")

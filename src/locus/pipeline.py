@@ -29,7 +29,7 @@ import numpy as np
 
 from . import neural
 from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
-from .environment import Environment, GridRoom, ListedRoom, Point2D, environment_from_dict, environment_to_dict, true_aoa, true_distance
+from .environment import Environment, GridRoom, Point2D, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
 from .hybrid import hybrid_position
 from .neural import TrainSpec
@@ -167,7 +167,7 @@ class Dataset:
 def dataset_to_dict(ds: Dataset) -> dict:
     samples = [{"point_id": int(pid), "features": feat.tolist(), "target": t.tolist()}
                for pid, feat, t in zip(ds.point_ids, ds.features, ds.targets)]
-    return {"format": "locus-dataset", "version": 1, "environment": environment_to_dict(ds.env),
+    return {"format": "locus-dataset", "version": 1, "environment": json_form(ds.env),
             "layout": ds.layout, "seed": ds.seed, "rejects": ds.rejects, "samples": samples}
 
 
@@ -198,7 +198,7 @@ def dataset_from_dict(d: dict) -> Dataset:
             if row is None or row.shape != out.shape[1:] or not np.isfinite(row).all():
                 raise ValueError(f"dataset sample {i}: {key!r} must be a list of {out.shape[1]} finite numbers")
             out[i] = row
-    env = environment_from_dict(d["environment"], "environment.")
+    env = read_section(Environment, d["environment"], "environment.")
     return Dataset(env, d["layout"], int(d["seed"]), features, targets, point_ids, int(d.get("rejects", 0)))
 
 
@@ -254,7 +254,7 @@ def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
     """The mode's map from NLoS-perturbed bearings, shape (count, 3), to measured angles."""
     if aoa.mode == "fast":
         return lambda biased: biased + rng.standard_normal(biased.shape) * aoa.noise_deg
-    center = Point2D(env.length / 2.0, env.width / 2.0)
+    center = Point2D(env.length_m / 2.0, env.width_m / 2.0)
     refs = np.array([true_aoa(env, i, center) for i in (1, 2, 3)])
     spec = aoa.music
 
@@ -462,7 +462,7 @@ class ExperimentConfig:
     """A sweep. Each field but envs and aoa is the top-level config key of its name.
 
     Every config key is a field of this class, TrainSpec, OutlierPolicy, AoaSim,
-    MusicSpec, GridRoom, NlosModel or PathLossParams, whose default is the
+    MusicSpec, GridRoom, Environment, Anchor, NlosModel or PathLossParams, whose default is the
     key's only default; load_config and config_to_dict walk these classes.
     """
 
@@ -507,8 +507,8 @@ def path_loss_from_dict(doc, where: str = "path_loss") -> tuple[PathLossParams, 
 
 
 def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
-    """One entry of `environments`: a listed room (anchors and test points, as
-    config_to_dict writes it) or a GridRoom, with its own nlos section and its
+    """One entry of `environments`: an Environment (a room listed with its
+    anchors and test points, as config_to_dict writes it) or a GridRoom, with its own nlos section and its
     own path_loss, else the shared top-level one, else EnvSpec's default."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {doc!r}")
@@ -517,9 +517,11 @@ def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
     if "path_loss" in room:
         built["params"] = path_loss_from_dict(room.pop("path_loss"), f"{where}.path_loss")
     built["nlos"] = read_section(NlosModel, room.pop("nlos", {}), f"{where}.nlos.")
-    shape = read_section(ListedRoom if "anchors" in room else GridRoom, room, where + ".")
+    if "anchors" in room:
+        return EnvSpec(read_section(Environment, room, where + "."), **built)
+    grid = read_section(GridRoom, room, where + ".")
     try:
-        env = shape.environment()
+        env = grid.environment()
     except ValueError as e:
         raise ValueError(f"{where}: {e!s}") from e
     return EnvSpec(env, **built)
@@ -554,7 +556,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     aoa = json_form(config.aoa)
     doc.update(aoa_mode=aoa["mode"], aoa_noise_deg=aoa["noise_deg"], music=aoa["music"])
     doc["environments"] = [
-        {**environment_to_dict(spec.env), "nlos": json_form(spec.nlos), "path_loss": json_form(spec.params)}
+        {**json_form(spec.env), "nlos": json_form(spec.nlos), "path_loss": json_form(spec.params)}
         for spec in config.envs
     ]
     return doc

@@ -64,7 +64,7 @@ def test_roundtrip_geometry(verdict):
     worst_trilat = 0.0
     rng = np.random.default_rng(2026)
     for env in map(standard_environment, STANDARD_ROOMS):
-        length, width = env.length, env.width
+        length, width = env.length_m, env.width_m
         anchors = np.array([[a.position.x, a.position.y] for a in env.anchors])
         pts = np.empty((0, 2))
         while pts.shape[0] < 1000:

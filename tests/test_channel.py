@@ -47,6 +47,15 @@ def test_expected_rssi_below_reference_errors():
         expected_rssi(p, 0.5)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_expected_rssi_refuses_a_non_finite_distance(d):
+    p = PathLossParams(gamma=2.0, sigma=0.0, p_r_d0=-40.0, d0=1.0)
+    with pytest.raises(ValueError, match=f"^distance must be a finite number, got {d}$"):
+        expected_rssi(p, d)
+    with pytest.raises(ValueError, match="^distance must be a finite number"):
+        simulate_rssi(p, d, np.random.default_rng(0))
+
+
 @settings(max_examples=100)
 @given(
     gamma=st.floats(0.5, 6.0),

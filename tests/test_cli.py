@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from locus import cli, pipeline
-from locus.channel import ArraySpec, PathLossParams, expected_rssi, simulate_snapshots
+from locus.channel import ArraySpec, PathLossParams, expected_rssi, json_form, simulate_snapshots
 from locus.cli import main
-from locus.environment import Point2D, environment_to_dict, make_environment, true_aoa, true_distance
+from locus.environment import Point2D, make_environment, true_aoa, true_distance
 from locus.pipeline import OutlierPolicy, generate_dataset, load_config
 
 PARAMS = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
@@ -253,9 +253,10 @@ def test_aoa_grid_step_must_divide_180(capsys, tmp_path):
 
 
 def test_environment_file_is_read_strictly(capsys, tmp_path):
-    doc = environment_to_dict(make_environment("room", 10.0, 8.0, [Point2D(3.0, 4.0)]))
+    doc = json_form(make_environment("room", 10.0, 8.0, [Point2D(3.0, 4.0)]))
     for path, value, key in ((("anchors", 0, "zz"), 1, "anchors[0].zz"), (("test_points", 0, "y"), "4", "test_points[0].y"),
-                             (("anchors", 1, "id"), True, "anchors[1].id"), (("name",), 7, "name")):
+                             (("anchors", 1, "id"), True, "anchors[1].id"), (("name",), 7, "name"),
+                             (("anchors", 0, "id"), 4, "error: anchors[0].id must be 1, 2 or 3, got 4")):
         bad = copy.deepcopy(doc)
         _set(bad, path, value)
         env = tmp_path / "env.json"
@@ -610,6 +611,7 @@ BAD_DATASETS = [
     ("env_text_number", ("environment", "test_points", 1, "x"), "2.5", ["environment.test_points[1].x", "finite number"]),
     ("env_bool_sign", ("environment", "anchors", 2, "sx"), True, ["environment.anchors[2].sx", "integer"]),
     ("env_missing_key", ("environment", "anchors", 1, "y"), _DELETE, ["environment.anchors[1].y", "missing"]),
+    ("env_anchor_id", ("environment", "anchors", 0, "id"), 4, ["error: environment.anchors[0].id must be 1, 2 or 3, got 4"]),
 ]
 
 
@@ -681,6 +683,14 @@ BAD_TEXT = [
                                "--rssi=-52.1,,-63.9,-60.2"], None, ["field 2 of the rssi values", "''"]),
     ("empty_field_distances_flag", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=1,2,"],
      None, ["field 3 of the distances"]),
+    ("nan_distance_csv", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=nan,inf", "--format", "csv"],
+     None, ["error: distance must be a finite number, got nan"]),
+    ("inf_distance_csv", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=2,inf", "--format", "csv"],
+     None, ["error: distance must be a finite number, got inf"]),
+    ("nan_distance_json", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=nan,inf"],
+     None, ["error: distance must be a finite number, got nan"]),
+    ("inf_distance_json", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=-40", "--distances=2,-inf", "--format", "json"],
+     None, ["error: distance must be a finite number, got -inf"]),
     ("empty_field_features_flag", ["predict", "--model", "{model}", f"--features={FEATURES};-50,,-55,10,20,30"],
      None, ["field 2 of the features"]),
     ("empty_field_fit_row", ["fit", "--input", "{file}"], "distance_m,rssi_dbm\n1,-40\n\n2,\n4,-55\n",

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locus.channel import json_form, read_section
 from locus.environment import (
     Anchor,
     Environment,
     Point2D,
     STANDARD_ROOMS,
-    environment_from_dict,
-    environment_to_dict,
     jittered_grid,
     make_environment,
     standard_environment,
@@ -44,32 +43,24 @@ def test_default_layout_positions_and_frames():
 
 
 def test_anchor_id_validation():
-    with pytest.raises(ValueError):
-        Anchor(4, Point2D(0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        Anchor(1, Point2D(0, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"^id must be 1, 2 or 3, got 4$"):
+        Anchor(4, 0, 0, 1, 1)
+    with pytest.raises(ValueError, match=r"^sx must be -1 or \+1, got 0$"):
+        Anchor(1, 0, 0, 0, 1)
 
 
 def test_environment_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^length_m must be positive and finite"):
         make_environment("bad", -1.0, 4.0)
     # collinear anchors
-    anchors = (
-        Anchor(1, Point2D(0, 0), (1, 1)),
-        Anchor(2, Point2D(1, 0), (1, -1)),
-        Anchor(3, Point2D(2, 0), (-1, -1)),
-    )
-    with pytest.raises(ValueError):
+    anchors = (Anchor(1, 0, 0, 1, 1), Anchor(2, 1, 0, 1, -1), Anchor(3, 2, 0, -1, -1))
+    with pytest.raises(ValueError, match="^anchors are collinear"):
         Environment("line", 4.0, 4.0, anchors, ())
     # duplicate ids
-    anchors = (
-        Anchor(1, Point2D(0, 0), (1, 1)),
-        Anchor(1, Point2D(4, 0), (1, -1)),
-        Anchor(3, Point2D(0, 4), (-1, -1)),
-    )
-    with pytest.raises(ValueError):
+    anchors = (Anchor(1, 0, 0, 1, 1), Anchor(1, 4, 0, 1, -1), Anchor(3, 0, 4, -1, -1))
+    with pytest.raises(ValueError, match="^anchors must have the ids 1, 2 and 3"):
         Environment("dup", 4.0, 4.0, anchors, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^test_points\[0\] \(5.0, 1.0\) lies outside the room$"):
         make_environment("outside", 4.0, 4.0, (Point2D(5.0, 1.0),))
 
 
@@ -169,21 +160,34 @@ def test_standard_environments():
     for name, room in STANDARD_ROOMS.items():
         assert room.name == standard_environment(name).name == name
     big = standard_environment("big_classroom")
-    assert (big.length, big.width) == (13.0, 13.0)
+    assert (big.length_m, big.width_m) == (13.0, 13.0)
     assert len(big.test_points) == 10
     cor = standard_environment("corridor")
-    assert (cor.length, cor.width) == (12.0, 4.0)
+    assert (cor.length_m, cor.width_m) == (12.0, 4.0)
     small = standard_environment("small_classroom")
-    assert (small.length, small.width) == (9.0, 7.0)
+    assert (small.length_m, small.width_m) == (9.0, 7.0)
     with pytest.raises(ValueError):
         standard_environment("gym")
 
 
 def test_environment_dict_roundtrip(tmp_path):
     env = standard_environment("corridor")
-    d = environment_to_dict(env)
-    back = environment_from_dict(json.loads(json.dumps(d)))
+    d = json_form(env)
+    back = read_section(Environment, json.loads(json.dumps(d)), "")
     assert back == env
+
+
+def test_room_file_layout_is_pinned():
+    """The key order and number forms of a room, as room, dataset and report files write it."""
+    anchors = (Anchor(1, 0, 0, 1, 1), Anchor(2, 6, 0.5, -1, 1), Anchor(3, 0, 4, -1, -1))
+    env = Environment("lab", 6.0, 4.0, anchors, (Point2D(1.5, 2),))
+    assert json.dumps(json_form(env)) == (
+        '{"name": "lab", "length_m": 6.0, "width_m": 4.0, "anchors": ['
+        '{"id": 1, "x": 0.0, "y": 0.0, "sx": 1, "sy": 1}, '
+        '{"id": 2, "x": 6.0, "y": 0.5, "sx": -1, "sy": 1}, '
+        '{"id": 3, "x": 0.0, "y": 4.0, "sx": -1, "sy": -1}], '
+        '"test_points": [{"x": 1.5, "y": 2.0}]}'
+    )
 
 
 @pytest.mark.parametrize(
@@ -199,23 +203,29 @@ def test_environment_dict_roundtrip(tmp_path):
         (("length_m",), "12", "length_m must be a finite number"),
         (("name",), 3, "name must be a string"),
         (("anchors", 1, "sx"), None, "anchors[1].sx must be an integer"),
+        (("anchors", 0, "id"), 4, "anchors[0].id must be 1, 2 or 3, got 4"),
+        (("anchors", 2, "sx"), 2, "anchors[2].sx must be -1 or +1, got 2"),
+        (("anchors", 1, "id"), 1, "anchors must have the ids 1, 2 and 3, got [1, 1, 3]"),
+        (("length_m",), -1, "length_m must be positive and finite, got -1.0"),
+        (("test_points", 4, "x"), 50.0, "test_points[4] (50.0, "),
+        (("anchors", 2), {"id": 3, "x": 6.0, "y": 0.0, "sx": -1, "sy": -1}, "anchors are collinear: their triangle's area"),
     ],
 )
 def test_environment_dict_is_read_strictly(path, value, words):
-    d = environment_to_dict(standard_environment("corridor"))
+    d = json_form(standard_environment("corridor"))
     *keys, last = path
     entry = d
     for key in keys:
         entry = entry[key]
     entry[last] = value
     with pytest.raises(ValueError) as e:
-        environment_from_dict(d)
+        read_section(Environment, d, "")
     assert str(e.value).startswith(words), str(e.value)
-    if last != "zz":
+    if last != "zz" and isinstance(last, str):
         del entry[last]
         with pytest.raises(ValueError) as e:
-            environment_from_dict(d)
-        assert str(e.value) == f"missing config key {words.split()[0]}"
+            read_section(Environment, d, "")
+        assert str(e.value) == "missing config key " + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:]
 
 
 def test_anchor_lookup_error():

@@ -142,7 +142,7 @@ def test_closed_form_fixes_on_custom_layouts(length, width, anchors, frames, poi
     assume(twice_area >= 0.1 * length * width)
     p = Point2D(point[0] * length, point[1] * width)
     assume(min(p.distance_to(a) for a in pos) >= 0.1)
-    env = Environment("custom", length, width, tuple(Anchor(i + 1, pos[i], frames[i]) for i in range(3)), (p,))
+    env = Environment("custom", length, width, tuple(Anchor(i + 1, pos[i].x, pos[i].y, *frames[i]) for i in range(3)), (p,))
     params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0, d0=0.1)
     d = [true_distance(env, i, p) for i in (1, 2, 3)]
     est = trilaterate(env, params, [expected_rssi(params, di) for di in d])

@@ -506,7 +506,7 @@ def test_listed_rooms_are_checked_too():
     for key, value, words in (
         ("n_points", 3, "unknown config key environments[1].n_points"),
         ("length_m", math.inf, "environments[1].length_m must be a finite number"),
-        ("length_m", -1.0, "environments[1]: room dimensions must be positive and finite"),
+        ("length_m", -1.0, "environments[1].length_m must be positive and finite"),
     ):
         doc = config_to_dict(_small_config())
         doc["environments"][1][key] = value

@@ -48,9 +48,7 @@ def test_linearize_rows_against_symbolic_oracle():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     anchors = [(1.5, 0.5), (11.0, 2.0), (3.0, 12.5)]
-    env = Environment(
-        "room", 13.0, 13.0, tuple(Anchor(i + 1, Point2D(*anchors[i]), (1, 1)) for i in range(3)), ()
-    )
+    env = Environment("room", 13.0, 13.0, tuple(Anchor(i + 1, *anchors[i], 1, 1) for i in range(3)), ())
     d = [5.0, 11.0, 9.5]
     exprs = [
         (x - sympy.Rational(ax)) ** 2 + (y - sympy.Rational(ay)) ** 2 - sympy.Rational(di) ** 2
