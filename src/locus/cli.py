@@ -17,7 +17,7 @@ import numpy as np
 
 from . import neural
 from .aoa import estimate_aoa, grid_size, music_spectrum
-from .channel import ArraySpec, PathLossParams, SnapshotMatrix, simulate_rssi, simulate_snapshots
+from .channel import ArraySpec, PathLossParams, SnapshotMatrix, json_form, read_section, simulate_rssi, simulate_snapshots
 from .environment import STANDARD_ROOMS, load_environment, standard_environment
 from .hybrid import hybrid_position
 from .pipeline import (
@@ -25,6 +25,7 @@ from .pipeline import (
     ExperimentConfig,
     MusicSpec,
     NormStats,
+    SplitSpec,
     UsageError,
     _round6,
     dataset_from_dict,
@@ -133,6 +134,13 @@ def _grid_step(text):
     return float(text)
 
 
+def _seed(text):
+    """The value of a seed flag, refused (exit 1, naming the flag) unless it is an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -178,7 +186,7 @@ def _cmd_simulate_dataset(args):
     by_name = {spec.env.name: spec for spec in config.envs}
     if args.env_name not in by_name:
         raise ValueError(f"environment {args.env_name!r} not in config ({sorted(by_name)})")
-    if args.n_per_point:
+    if args.n_per_point is not None:
         config = replace(config, n_per_point=args.n_per_point)
     ds = config.dataset(by_name[args.env_name], args.seed, args.layout)
     _write_json(args.out, dataset_to_dict(ds))
@@ -187,26 +195,19 @@ def _cmd_simulate_dataset(args):
 
 
 def _cmd_locate(args):
-    if args.env:
-        env = load_environment(args.env)
-    elif args.room:
-        env = standard_environment(args.room)
-    else:
-        raise ValueError("pass --env FILE or --room NAME")
-    if args.params:
-        params = path_loss_from_dict(_read_json(args.params))
-    elif args.gamma is None or args.p_r_d0 is None:
-        raise ValueError("pass --params FILE or --gamma/--p-r-d0 (and optionally --sigma/--d0)")
-    else:
-        params = PathLossParams(args.gamma, args.sigma, args.p_r_d0, args.d0)
+    if (args.gamma is None) != (args.p_r_d0 is None):
+        raise UsageError("--gamma and --p-r-d0 go together")
+    if args.method == "hybrid" and args.aoa is None:
+        raise UsageError("--method hybrid needs --aoa A1,A2,A3")
+    env = standard_environment(args.room) if args.room else load_environment(args.env)
+    # sigma is 0.0: inverting RSSI to distance reads only gamma, p_r_d0 and d0.
+    params = (path_loss_from_dict(_read_json(args.params)) if args.gamma is None
+              else PathLossParams(args.gamma, 0.0, args.p_r_d0, args.d0))
     rssi = _floats(args.rssi, "rssi values", 3)
     if args.method == "trilat":
         est = trilaterate(env, params, rssi)
     else:
-        if not args.aoa:
-            raise ValueError("--method hybrid needs --aoa A1,A2,A3")
-        thetas = _floats(args.aoa, "angles", 3)
-        est = hybrid_position(env, rssi_distances(params, rssi), thetas)
+        est = hybrid_position(env, rssi_distances(params, rssi), _floats(args.aoa, "angles", 3))
     _print_json({"x": est.p.x, "y": est.p.y, "residual": est.residual})
     return 0
 
@@ -238,7 +239,7 @@ def _cmd_train(args):
     except ValueError as e:
         raise ValueError(f"training failed: {e}") from e
     doc = neural.model_to_dict(model, norm=stats.to_dict())
-    doc["split"] = {"train_fraction": args.train_fraction, "seed": args.split_seed}
+    doc["split"] = json_form(SplitSpec(args.train_fraction, args.split_seed))
     _write_json(args.out, doc)
     _print_json({"model": args.model, "out": args.out, "steps": int(history.size), "final_loss": float(history[-1]),
                  "train_mae_mm": train_mae, "test_mae_mm": test_mae})
@@ -248,7 +249,7 @@ def _cmd_train(args):
 def _load_model(path):
     doc = _read_json(path)
     model, norm = neural.model_from_dict(doc)
-    stats = NormStats.from_dict(norm, model.input_dim) if norm else None
+    stats = None if norm is None else NormStats.from_dict(norm, model.input_dim)
     return model, stats, doc
 
 
@@ -262,12 +263,8 @@ def _finite_rows(values, what):
 
 def _cmd_predict(args):
     model, stats, _ = _load_model(args.model)
-    if args.features:
-        rows = [_floats(part, "features", model.input_dim) for part in args.features.split(";")]
-    elif args.input:
-        rows = _read_rows(args.input, "features", model.input_dim)
-    else:
-        raise ValueError("pass --features or --input")
+    rows = (_read_rows(args.input, "features", model.input_dim) if args.features is None
+            else [_floats(part, "features", model.input_dim) for part in args.features.split(";")])
     x = _finite_rows(np.array(rows, dtype=float), "feature row")
     pred = model.forward_batch(stats.normalize_features(x) if stats else x)
     pred = _finite_rows(stats.denormalize_targets(pred) if stats else pred, "prediction for feature row")
@@ -285,12 +282,10 @@ def _cmd_eval(args):
     ds = dataset_from_dict(_read_json(args.data))
     if stats is None:
         raise ValueError("model file has no normalization stats; retrain with this tool")
-    meta = doc.get("split")
-    if meta:
-        _, test_ds = split(ds, meta["train_fraction"], seed=meta["seed"])
-    else:
-        test_ds = ds
-    report = evaluate_mae(model, test_ds, stats)
+    if doc.get("split") is not None:
+        spec = read_section(SplitSpec, doc["split"], "split.")
+        _, ds = split(ds, spec.train_fraction, seed=spec.seed)
+    report = evaluate_mae(model, ds, stats)
     _print_json(report.to_dict())
     return 0
 
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d0", type=float, default=PathLossParams.d0)
     q.add_argument("--distances", required=True, help="comma separated distances in meters")
     q.add_argument("--n", type=int, default=1, help="draws per distance")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--format", choices=["json", "csv"], default="json")
     q.set_defaults(func=_cmd_simulate_rssi)
 
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--snapshots", type=int, default=ArraySpec.snapshots)
     q.add_argument("--angles", required=True, help="comma separated source angles in degrees")
     q.add_argument("--snr-db", type=float, default=MusicSpec.snr_db)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", help="write CSV here instead of stdout")
     q.set_defaults(func=_cmd_simulate_snapshots)
 
@@ -345,17 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--env-name", required=True)
     q.add_argument("--layout", choices=LAYOUTS, default="hybrid")
     q.add_argument("--n-per-point", type=int, default=None)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_simulate_dataset)
 
     p = sub.add_parser("locate", help="closed-form position from one observation")
     p.add_argument("--method", choices=["trilat", "hybrid"], default="trilat")
-    p.add_argument("--env", help="environment JSON file")
-    p.add_argument("--room", choices=sorted(STANDARD_ROOMS), help="standard room by name")
-    p.add_argument("--params", help="path loss params JSON (object or list of 3)")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--sigma", type=float, default=0.0)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--env", help="environment JSON file")
+    g.add_argument("--room", choices=sorted(STANDARD_ROOMS), help="standard room by name")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--params", help="path loss params JSON (object or list of 3)")
+    g.add_argument("--gamma", type=float, help="path loss exponent, with --p-r-d0")
     p.add_argument("--p-r-d0", type=float)
     p.add_argument("--d0", type=float, default=PathLossParams.d0)
     p.add_argument("--rssi", required=True, help="three comma separated RSSI values")
@@ -378,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=neural.TrainSpec.learning_rate)
     p.add_argument("--batch-size", type=int, default=neural.TrainSpec.batch_size)
     p.add_argument("--epochs", type=int, default=neural.TrainSpec.epochs)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
     p.add_argument("--rbf-centers", type=int, default=ExperimentConfig.rbf_centers)
     p.add_argument("--ridge", type=float, default=neural.RIDGE_DEFAULT)
@@ -387,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict positions with a trained model")
     p.add_argument("--model", required=True)
-    p.add_argument("--features", help="semicolon separated rows of comma separated features")
-    p.add_argument("--input", help="CSV file, one feature row per line")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--features", help="semicolon separated rows of comma separated features")
+    g.add_argument("--input", help="CSV file, one feature row per line")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_predict)
 

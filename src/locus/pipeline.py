@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, _cast, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
 from .environment import Environment, GridRoom, Point2D, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
 from .hybrid import hybrid_position
@@ -137,6 +137,7 @@ class Dataset:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
+        check_bound(self, 0, "seed", "rejects")
         want = FEATURE_COLUMNS[self.layout]
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.features.shape[1] != want:
@@ -182,6 +183,8 @@ def dataset_from_dict(d: dict) -> Dataset:
     if d["layout"] not in FEATURE_COLUMNS:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {d['layout']!r}")
     samples = d["samples"]
+    if not isinstance(samples, list) or not samples:
+        raise ValueError(f"samples must be a nonempty list, got {samples!r}")
     features = np.empty((len(samples), FEATURE_COLUMNS[d["layout"]]))
     targets = np.empty((len(samples), 2))
     point_ids = np.empty(len(samples), dtype=int)
@@ -199,7 +202,8 @@ def dataset_from_dict(d: dict) -> Dataset:
                 raise ValueError(f"dataset sample {i}: {key!r} must be a list of {out.shape[1]} finite numbers")
             out[i] = row
     env = read_section(Environment, d["environment"], "environment.")
-    return Dataset(env, d["layout"], int(d["seed"]), features, targets, point_ids, int(d.get("rejects", 0)))
+    seed, rejects = (_cast(d.get(key, 0), int, key) for key in ("seed", "rejects"))
+    return Dataset(env, d["layout"], seed, features, targets, point_ids, rejects)
 
 
 def generate_dataset(
@@ -327,6 +331,19 @@ def split(ds: Dataset, train_fraction: float, seed: int = 0):
 
 
 @dataclass(frozen=True)
+class SplitSpec:
+    """The split a model file records under its `split` key: split()'s arguments."""
+
+    train_fraction: float
+    seed: int
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        check_bound(self, 0, "seed")
+
+
+@dataclass(frozen=True)
 class NormStats:
     """Min-max ranges learned from a training split only."""
 
@@ -369,10 +386,16 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict, input_dim: int) -> "NormStats":
-        """Inverse of to_dict for input_dim features; a missing, mis-sized or
-        non-finite range raises ValueError naming it."""
+        """Inverse of to_dict for input_dim features; a norm that is not an object,
+        an unknown key, or a missing, mis-sized or non-finite range raises ValueError naming it."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(d, dict):
+            raise ValueError(f"norm must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown norm key {unknown[0]!r}")
         ranges = {}
-        for key in ("feature_min", "feature_max", "target_min", "target_max"):
+        for key in keys:
             ranges[key] = np.array(d.get(key), dtype=float)
             size = input_dim if key.startswith("feature") else 2
             if ranges[key].shape != (size,) or not np.isfinite(ranges[key]).all():

@@ -182,13 +182,14 @@ def test_locate_hybrid_noiseless(capsys):
 
 
 def test_locate_hybrid_needs_aoa(capsys):
-    code, _, err = _run(
+    code, out, err = _run(
         capsys,
         ["locate", "--method", "hybrid", "--room", "corridor",
          "--gamma", "2.5", "--p-r-d0=-40", "--rssi=-50,-55,-60"],
     )
-    assert code == 2
-    assert "aoa" in err.lower()
+    assert code == 1
+    assert out == ""
+    assert "--aoa" in err
 
 
 def test_locate_per_anchor_params_file(capsys, tmp_path):
@@ -207,6 +208,60 @@ def test_locate_per_anchor_params_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["x"] == pytest.approx(3.0, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# flag rules: a missing, conflicting or dead flag is a usage error
+
+LOCATE = ["locate", "--rssi=-50,-55,-60"]
+GAMMA = ["--gamma", "2.5", "--p-r-d0=-40"]
+
+# (case, argv with {file} and {out} placeholders, exit code, words the error must name)
+BAD_FLAGS = [
+    ("locate_no_room", [*LOCATE, *GAMMA], 1, ["--env", "--room", "required"]),
+    ("locate_env_and_room", [*LOCATE, *GAMMA, "--env", "{file}", "--room", "corridor"], 1,
+     ["--room", "not allowed with argument --env"]),
+    ("locate_no_params", [*LOCATE, "--room", "corridor"], 1, ["--params", "--gamma", "required"]),
+    ("locate_params_and_gamma", [*LOCATE, "--room", "corridor", "--params", "{file}", *GAMMA], 1,
+     ["--gamma", "not allowed with argument --params"]),
+    ("locate_gamma_alone", [*LOCATE, "--room", "corridor", "--gamma", "2.5"], 1, ["--gamma and --p-r-d0"]),
+    ("locate_p_r_d0_with_params", [*LOCATE, "--room", "corridor", "--params", "{file}", "--p-r-d0=-40"], 1,
+     ["--gamma and --p-r-d0"]),
+    ("locate_hybrid_no_aoa", [*LOCATE, *GAMMA, "--room", "corridor", "--method", "hybrid"], 1,
+     ["--method hybrid needs --aoa"]),
+    ("locate_sigma", [*LOCATE, *GAMMA, "--room", "corridor", "--sigma", "3"], 1,
+     ["unrecognized arguments: --sigma"]),
+    ("predict_no_rows", ["predict", "--model", "{file}"], 1, ["--features", "--input", "required"]),
+    ("predict_features_and_input", ["predict", "--model", "{file}", "--features=1,2,3", "--input", "{file}"], 1,
+     ["--input", "not allowed with argument --features"]),
+    ("rssi_negative_seed", ["simulate", "rssi", *GAMMA, "--distances=1,2", "--seed=-1"], 1,
+     ["argument --seed: must be an integer >= 0, got '-1'"]),
+    ("snapshots_negative_seed", ["simulate", "snapshots", "--angles=10", "--seed=-2"], 1, ["argument --seed"]),
+    ("dataset_negative_seed", ["simulate", "dataset", "--config", "{file}", "--env-name", "roomA",
+                               "--out", "{out}", "--seed=-3"], 1, ["argument --seed"]),
+    ("train_negative_seed", ["train", "--data", "{file}", "--model", "mlp", "--out", "{out}", "--seed=-1"], 1,
+     ["argument --seed"]),
+    ("train_negative_split_seed", ["train", "--data", "{file}", "--model", "mlp", "--out", "{out}",
+                                   "--split-seed=-1"], 1, ["argument --split-seed"]),
+    ("dataset_zero_per_point", ["simulate", "dataset", "--config", "{file}", "--env-name", "roomA",
+                                "--out", "{out}", "--n-per-point", "0"], 2,
+     ["n_per_point must be at least 1, got 0"]),
+]
+
+
+@pytest.mark.parametrize("case,argv,want,words", BAD_FLAGS, ids=[c[0] for c in BAD_FLAGS])
+def test_bad_flags_fail_naming_the_flag(capsys, tmp_path, case, argv, want, words):
+    config, out_path = _config_file(tmp_path), tmp_path / "out.json"
+    try:
+        code = main([a.format(file=config, out=out_path) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == want
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +630,9 @@ BAD_MODELS = [
     ("nan_norm", ("norm", "feature_min", 2), float("nan"), ["'feature_min'", "finite"]),
     ("short_norm", ("norm", "feature_min", 5), _DELETE, ["'feature_min'", "6 finite"]),
     ("long_target_norm", ("norm", "target_max"), [9.0, 9.0, 9.0], ["'target_max'", "2 finite"]),
+    ("empty_norm", ("norm",), {}, ["norm 'feature_min'", "6 finite"]),
+    ("list_norm", ("norm",), [1], ["norm must be a JSON object, got [1]"]),
+    ("unknown_norm_key", ("norm", "scale"), 2.0, ["unknown norm key 'scale'"]),
 ]
 
 
@@ -612,6 +670,13 @@ BAD_DATASETS = [
     ("env_bool_sign", ("environment", "anchors", 2, "sx"), True, ["environment.anchors[2].sx", "integer"]),
     ("env_missing_key", ("environment", "anchors", 1, "y"), _DELETE, ["environment.anchors[1].y", "missing"]),
     ("env_anchor_id", ("environment", "anchors", 0, "id"), 4, ["error: environment.anchors[0].id must be 1, 2 or 3, got 4"]),
+    ("text_seed", ("seed",), "abc", ["error: seed must be an integer, got 'abc'"]),
+    ("fractional_seed", ("seed",), 2.7, ["error: seed must be an integer, got 2.7"]),
+    ("negative_seed", ("seed",), -1, ["error: seed must be at least 0, got -1"]),
+    ("negative_rejects", ("rejects",), -5, ["error: rejects must be at least 0, got -5"]),
+    ("fractional_rejects", ("rejects",), 1.5, ["error: rejects must be an integer, got 1.5"]),
+    ("empty_samples", ("samples",), [], ["error: samples must be a nonempty list, got []"]),
+    ("number_samples", ("samples",), 5, ["error: samples must be a nonempty list, got 5"]),
 ]
 
 
@@ -632,6 +697,42 @@ def test_bad_dataset_file_exits_2_naming_the_field(capsys, tmp_path, good_files,
     for word in words:
         assert word in err, (word, err)
     assert not (tmp_path / "out.json").exists()
+
+
+# (case, the model file's split, words the error must name)
+BAD_SPLITS = [
+    ("empty", {}, ["missing config key split.train_fraction"]),
+    ("list", [1], ["split must be a JSON object, got [1]"]),
+    ("unknown_key", {"train_fraction": 0.8, "seed": 0, "shuffle": True}, ["unknown config key split.shuffle"]),
+    ("text_fraction", {"train_fraction": "0.8", "seed": 0}, ["split.train_fraction must be a finite number, got '0.8'"]),
+    ("whole_fraction", {"train_fraction": 1.0, "seed": 0}, ["split.train_fraction must lie in (0, 1), got 1.0"]),
+    ("fractional_seed", {"train_fraction": 0.8, "seed": 2.7}, ["split.seed must be an integer, got 2.7"]),
+    ("negative_seed", {"train_fraction": 0.8, "seed": -1}, ["split.seed must be at least 0, got -1"]),
+]
+
+
+@pytest.mark.parametrize("case,value,words", BAD_SPLITS, ids=[c[0] for c in BAD_SPLITS])
+def test_bad_model_split_exits_2_naming_the_key(capsys, tmp_path, good_files, case, value, words):
+    ds_doc, model_doc = copy.deepcopy(good_files)
+    model_doc["split"] = value
+    (tmp_path / "model.json").write_text(json.dumps(model_doc))
+    (tmp_path / "ds.json").write_text(json.dumps(ds_doc))
+    code, out, err = _run(capsys, ["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "ds.json")])
+    assert code == 2
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+
+
+def test_model_without_split_is_scored_on_the_whole_dataset(capsys, tmp_path, good_files):
+    ds_doc, model_doc = copy.deepcopy(good_files)
+    (tmp_path / "ds.json").write_text(json.dumps(ds_doc))
+    for value in (None, _DELETE):
+        _set(model_doc, ("split",), value)
+        (tmp_path / "model.json").write_text(json.dumps(model_doc))
+        code, out, _ = _run(capsys, ["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "ds.json")])
+        assert code == 0
+        assert json.loads(out)["n_test"] == len(ds_doc["samples"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
