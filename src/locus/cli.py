@@ -134,11 +134,18 @@ def _grid_step(text):
     return float(text)
 
 
-def _seed(text):
-    """The value of a seed flag, refused (exit 1, naming the flag) unless it is an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _int_at_least(low):
+    """A flag type that refuses (exit 1, naming the flag) anything but an integer >= low."""
+
+    def parse(text):
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_seed = _int_at_least(0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +204,14 @@ def _cmd_simulate_dataset(args):
 def _cmd_locate(args):
     if (args.gamma is None) != (args.p_r_d0 is None):
         raise UsageError("--gamma and --p-r-d0 go together")
+    if args.d0 is not None and args.gamma is None:
+        raise UsageError("--d0 goes only with --gamma and --p-r-d0; a --params file carries its own d0")
     if args.method == "hybrid" and args.aoa is None:
         raise UsageError("--method hybrid needs --aoa A1,A2,A3")
     env = standard_environment(args.room) if args.room else load_environment(args.env)
     # sigma is 0.0: inverting RSSI to distance reads only gamma, p_r_d0 and d0.
     params = (path_loss_from_dict(_read_json(args.params)) if args.gamma is None
-              else PathLossParams(args.gamma, 0.0, args.p_r_d0, args.d0))
+              else PathLossParams(args.gamma, 0.0, args.p_r_d0, PathLossParams.d0 if args.d0 is None else args.d0))
     rssi = _floats(args.rssi, "rssi values", 3)
     if args.method == "trilat":
         est = trilaterate(env, params, rssi)
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p-r-d0", type=float, required=True)
     q.add_argument("--d0", type=float, default=PathLossParams.d0)
     q.add_argument("--distances", required=True, help="comma separated distances in meters")
-    q.add_argument("--n", type=int, default=1, help="draws per distance")
+    q.add_argument("--n", type=_int_at_least(1), default=1, help="draws per distance")
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--format", choices=["json", "csv"], default="json")
     q.set_defaults(func=_cmd_simulate_rssi)
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--params", help="path loss params JSON (object or list of 3)")
     g.add_argument("--gamma", type=float, help="path loss exponent, with --p-r-d0")
     p.add_argument("--p-r-d0", type=float)
-    p.add_argument("--d0", type=float, default=PathLossParams.d0)
+    p.add_argument("--d0", type=float, help=f"reference distance, with --gamma (default {PathLossParams.d0})")
     p.add_argument("--rssi", required=True, help="three comma separated RSSI values")
     p.add_argument("--aoa", help="three comma separated angles (hybrid method)")
     p.set_defaults(func=_cmd_locate)

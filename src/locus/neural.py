@@ -207,6 +207,22 @@ def make_mlp(input_dim: int, hidden=(32, 32), seed=0) -> MlpModel:
     return MlpModel(arrays)
 
 
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (n, k) from the rows of x (n, d) to centers (k, d).
+
+    The per-feature squares are summed in feature order. For d < 8 that is
+    the bits of np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2),
+    without its (n, k, d) temporary; numpy sums 8 or more terms pairwise.
+    """
+    d2 = np.zeros((x.shape[0], centers.shape[0]))
+    diff = np.empty_like(d2)
+    for j in range(x.shape[1]):
+        np.subtract(x[:, j, None], centers[:, j], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np.ndarray:
     """Lloyd k-means with seeded init, stopping once the assignments repeat.
 
@@ -216,6 +232,12 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
     keep their previous center. Repeated assignments would recompute the
     same centers, so stopping there gives the centers of a full run of
     `iterations` steps.
+
+    Each iteration works on (n, k) arrays: _sq_dists for the distances and
+    one bincount per feature for the cluster sums. For rows of fewer than 8
+    features the distances have the bits of the (n, k, d) form
+    np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2), so the
+    labels and centers do too; every feature layout has 3 or 6.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
@@ -229,15 +251,13 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
     centers = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
     labels = None
     for _ in range(iterations):
-        d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)
+        new_labels = np.argmin(_sq_dists(data, centers), axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         # Row-order sums over counts: for rows of two or more features, the
         # bits of data[labels == j].mean(axis=0).
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, data)
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in data.T])
         counts = np.bincount(labels, minlength=k)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
@@ -254,7 +274,7 @@ def rbf_widths(centers: np.ndarray, data: np.ndarray) -> np.ndarray:
     if k == 1:
         w = float(np.mean(np.linalg.norm(data - centers[0], axis=1)))
         return np.array([max(w, WIDTH_FLOOR)])
-    d = np.sqrt(np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2))
+    d = np.sqrt(_sq_dists(centers, centers))
     # Each sorted row starts with the center's zero distance to itself.
     return np.maximum(np.sort(d, axis=1)[:, 1 : 1 + min(2, k - 1)].mean(axis=1), WIDTH_FLOOR)
 
@@ -282,7 +302,7 @@ class RbfModel(Regressor):
         return cls({"centers": centers, "widths": widths, "w_out": w_out, "b_out": np.zeros(2)})
 
     def _kernels(self, x):
-        d2 = np.sum((x[:, None, :] - self.arrays["centers"][None, :, :]) ** 2, axis=2)
+        d2 = _sq_dists(x, self.arrays["centers"])
         return np.exp(-d2 / (2.0 * self.arrays["widths"] ** 2))
 
     def forward_batch(self, x):

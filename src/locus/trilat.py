@@ -66,6 +66,22 @@ def rssi_distances(params, rssi) -> DistanceVector:
     return DistanceVector(tuple(rssi_to_distance(p, r) for p, r in zip(params3, rssi)))
 
 
+def _condition_2x2(a) -> float:
+    """The 2-norm condition number of a 2x2 matrix, in closed form.
+
+    The singular values satisfy sigma_max^2 + sigma_min^2 = F, the squared
+    Frobenius norm, and sigma_max * sigma_min = |det|. So with
+    t = F / (2 |det|), cond = sigma_max / sigma_min = t + sqrt(t^2 - 1), the
+    value of np.linalg.cond(a) without its SVD. A zero determinant gives inf.
+    """
+    (p, q), (r, s) = a.tolist()
+    det = abs(p * s - q * r)
+    if det == 0.0:
+        return math.inf
+    t = (p * p + q * q + r * r + s * s) / (2.0 * det)
+    return t + math.sqrt(max(t * t - 1.0, 0.0))
+
+
 def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
     """Estimate a position from three RSSI readings (see rssi_distances).
 
@@ -85,7 +101,7 @@ def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
             d2**2 - d3**2 - x2**2 + x3**2 - y2**2 + y3**2,
         ]
     )
-    cond = float(np.linalg.cond(a))
+    cond = _condition_2x2(a)
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise ValueError(f"linear system condition number {cond:.3e} too large")
     x, y = np.linalg.solve(a, b)

@@ -227,6 +227,8 @@ BAD_FLAGS = [
     ("locate_gamma_alone", [*LOCATE, "--room", "corridor", "--gamma", "2.5"], 1, ["--gamma and --p-r-d0"]),
     ("locate_p_r_d0_with_params", [*LOCATE, "--room", "corridor", "--params", "{file}", "--p-r-d0=-40"], 1,
      ["--gamma and --p-r-d0"]),
+    ("locate_d0_with_params", [*LOCATE, "--room", "corridor", "--params", "{file}", "--d0", "5"], 1,
+     ["--d0 goes only with --gamma and --p-r-d0"]),
     ("locate_hybrid_no_aoa", [*LOCATE, *GAMMA, "--room", "corridor", "--method", "hybrid"], 1,
      ["--method hybrid needs --aoa"]),
     ("locate_sigma", [*LOCATE, *GAMMA, "--room", "corridor", "--sigma", "3"], 1,
@@ -236,6 +238,10 @@ BAD_FLAGS = [
      ["--input", "not allowed with argument --features"]),
     ("rssi_negative_seed", ["simulate", "rssi", *GAMMA, "--distances=1,2", "--seed=-1"], 1,
      ["argument --seed: must be an integer >= 0, got '-1'"]),
+    ("rssi_zero_n", ["simulate", "rssi", *GAMMA, "--distances=1,2", "--n", "0"], 1,
+     ["argument --n: must be an integer >= 1, got '0'"]),
+    ("rssi_negative_n", ["simulate", "rssi", *GAMMA, "--distances=1,2", "--n=-3", "--format", "csv"], 1,
+     ["argument --n: must be an integer >= 1, got '-3'"]),
     ("snapshots_negative_seed", ["simulate", "snapshots", "--angles=10", "--seed=-2"], 1, ["argument --seed"]),
     ("dataset_negative_seed", ["simulate", "dataset", "--config", "{file}", "--env-name", "roomA",
                                "--out", "{out}", "--seed=-3"], 1, ["argument --seed"]),
@@ -262,6 +268,15 @@ def test_bad_flags_fail_naming_the_flag(capsys, tmp_path, case, argv, want, word
     for word in words:
         assert word in err, (word, err)
     assert not out_path.exists()
+
+
+def test_locate_gamma_without_d0_uses_the_path_loss_d0(capsys):
+    """--d0 is optional with --gamma: left out, it is PathLossParams.d0."""
+    argv = ["locate", "--room", "small_classroom", *GAMMA, "--rssi=-52.1,-63.9,-60.2"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, [*argv, "--d0", str(PathLossParams.d0)]) == (0, out, "")
+    assert _run(capsys, [*argv, "--d0", "2"])[1] != out
 
 
 # ---------------------------------------------------------------------------

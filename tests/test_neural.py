@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from locus.neural import (
     train,
     _conv1d,
 )
+from locus.pipeline import NormStats, cell_seeds, load_config, split
 
 
 def _data(n=24, d=6, seed=0):
@@ -205,6 +207,43 @@ def test_kmeans_empty_cluster_keeps_its_center():
          [1.5, 2.0], [0.0, -0.5], [0.5, 0.5]]
     )
     assert np.array_equal(kmeans(data, 6, seed=17522), _kmeans_mask_loop(data, 6, 17522))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_sq_dists_has_the_bits_of_the_difference_tensor_sum(d):
+    """For fewer than 8 features numpy sums the (n, k, d) squares left to right,
+    as _sq_dists does feature by feature."""
+    rng = np.random.default_rng(d)
+    x, centers = rng.standard_normal((200, d)), rng.standard_normal((30, d))
+    assert np.array_equal(neural._sq_dists(x, centers), np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2))
+
+
+def test_kmeans_matches_mask_loop_oracle_at_seven_features():
+    """The widest rows whose (n, k, d) squared distances numpy sums left to right."""
+    rng = np.random.default_rng(7)
+    for data in (rng.standard_normal((300, 7)), np.round(rng.standard_normal((300, 7)))):
+        assert np.array_equal(kmeans(data, 25, seed=7), _kmeans_mask_loop(data, 25, 7))
+
+
+@pytest.fixture(scope="module")
+def reference_cell():
+    """The hybrid training split, center count and RBF init seed of the first
+    reference sweep cell (the first room at seed 0), drawn with the sweep's own seeds."""
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "paper_repro.json")
+    dataset_seed, split_seed, model_seeds = cell_seeds(0, 0, len(config.models))
+    train_ds, _ = split(config.dataset(config.envs[0], dataset_seed), config.train_fraction, seed=split_seed)
+    return train_ds, config.rbf_centers, model_seeds[config.models.index("rbf")][0]
+
+
+@pytest.mark.parametrize("layout", ["rssi", "hybrid"])
+def test_kmeans_matches_mask_loop_oracle_on_a_reference_cell(reference_cell, layout):
+    """The bits hold at the sweep's own size: n = 4000 normalised training rows
+    of 3 or 6 features, k = 40 centers."""
+    train_ds, k, seed = reference_cell
+    train_ds = train_ds if layout == "hybrid" else train_ds.project_rssi()
+    x = NormStats.fit(train_ds).normalize_features(train_ds.features)
+    assert x.shape == (4000, 6 if layout == "hybrid" else 3) and k == 40
+    assert np.array_equal(kmeans(x, k, seed=seed), _kmeans_mask_loop(x, k, seed))
 
 
 def test_rbf_widths_two_nearest_oracle():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from locus.channel import PathLossParams, expected_rssi
 from locus.environment import Anchor, Environment, Point2D, make_environment, true_distance
-from locus.trilat import DistanceVector, rssi_to_distance, trilaterate
+from locus.trilat import MAX_CONDITION, DistanceVector, _condition_2x2, rssi_to_distance, trilaterate
 
 
 def _env(l=13.0, w=13.0):
@@ -118,3 +118,24 @@ def test_trilaterate_roundtrip_property(x, y, gamma):
     rssi = [expected_rssi(params, true_distance(env, i, p)) for i in (1, 2, 3)]
     est = trilaterate(env, params, rssi)
     assert p.distance_to(est.p) < 1e-6
+
+
+def test_condition_2x2_matches_svd_condition_number():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        a = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        assert _condition_2x2(a) == pytest.approx(np.linalg.cond(a), rel=1e-9)
+    assert _condition_2x2(np.eye(2)) == 1.0
+    assert _condition_2x2(np.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
+
+
+def test_trilaterate_refuses_a_near_singular_system():
+    """A thin anchor triangle that the room accepts (area 5e-6 m^2) still gives
+    a system whose condition number is above MAX_CONDITION."""
+    anchors = [(0.0, 0.0), (1e4, 0.0), (2e4, 1e-9)]
+    env = Environment("thin", 3e4, 1.0, tuple(Anchor(i + 1, *anchors[i], 1, 1) for i in range(3)), ())
+    # The system's rows are twice anchor 3 minus anchors 1 and 2.
+    assert np.linalg.cond(2.0 * np.array([[2e4, 1e-9], [1e4, 1e-9]])) > MAX_CONDITION
+    params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+    with pytest.raises(ValueError, match=r"condition number .* too large"):
+        trilaterate(env, params, [-60.0, -60.0, -60.0])
