@@ -40,7 +40,6 @@ from .neural import (
 from .pipeline import (
     AoaSim,
     Dataset,
-    EvalReport,
     ExperimentConfig,
     NormStats,
     OutlierPolicy,

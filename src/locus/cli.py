@@ -244,7 +244,7 @@ def _cmd_train(args):
     spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
     history = neural.fit([model], [xn], [yn], spec, [args.seed], ridge=args.ridge)[0]
     try:
-        train_mae, test_mae = (evaluate_mae(model, part, stats).overall_mae_mm for part in (train_ds, test_ds))
+        train_mae, test_mae = (evaluate_mae(model, part, stats)[0] for part in (train_ds, test_ds))
     except ValueError as e:
         raise ValueError(f"training failed: {e}") from e
     doc = neural.model_to_dict(model, norm=stats.to_dict())
@@ -294,8 +294,9 @@ def _cmd_eval(args):
     if doc.get("split") is not None:
         spec = read_section(SplitSpec, doc["split"], "split.")
         _, ds = split(ds, spec.train_fraction, seed=spec.seed)
-    report = evaluate_mae(model, ds, stats)
-    _print_json(report.to_dict())
+    overall, per_point = evaluate_mae(model, ds, stats)
+    _print_json({"model_family": model.family, "environment": ds.env.name, "layout": ds.layout,
+                 "per_point_mae_mm": per_point, "overall_mae_mm": overall, "n_test": ds.n})
     return 0
 
 

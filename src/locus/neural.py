@@ -5,7 +5,7 @@ coordinates with plain mini-batch SGD:
 
   * MLP: tanh hidden layers, identity output.
   * RBF: Gaussian kernels on k-means centers; only the linear output layer
-    is trainable (centers and widths stay frozen after init). The output
+    is trainable (centers and widths stay fixed after init). The output
     layer can also be solved directly by ridge least squares.
   * CNN: the feature vector treated as a length-L, 1-channel sequence;
     two width-2 valid convolutions with tanh, then a flatten and two
@@ -27,6 +27,10 @@ from .channel import check_bound
 RIDGE_DEFAULT = 1e-6
 KMEANS_ITERATIONS = 50
 WIDTH_FLOOR = 1e-6
+# Models per SGD stack in fit. Past about ten, a CNN step's arrays outgrow the
+# caches: at batch 32 and input width 6, a model-step took 82 us in a stack
+# of 10 and 94 us in one of 30 (one core of a shared 2-core x86 host).
+STACK_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,8 @@ def _xavier(rng, fan_in, fan_out, shape):
 
 class Diverged(ValueError):
     """A non-finite batch loss in train(); `member` is the stack index of the
-    first model at fault at the earliest such step (0 for a plain model)."""
+    first model at fault at the earliest such step (0 for a plain model), or
+    its list index when raised by fit()."""
 
     member = 0
 
@@ -84,7 +89,8 @@ class Regressor:
     the `arch` block of the model file and the shape of every array, all
     derived from the shapes of a few of them. The constructor checks the
     arrays against that layout and for finiteness, naming the bad array.
-    Arrays named in `frozen` are left alone by training.
+    Training moves only the arrays that loss_and_gradients returns a gradient
+    for, so an RBF's centers and widths never move.
 
     Regressor.stack(models) holds S models of one shape as one, each array
     with a leading stack axis (lead = (S,)); its batches are (S, n, d) and its
@@ -93,7 +99,6 @@ class Regressor:
     """
 
     family = "base"
-    frozen: tuple[str, ...] = ()
     lead: tuple[int, ...] = ()
 
     def __init__(self, arrays: dict):
@@ -127,13 +132,9 @@ class Regressor:
         raise NotImplementedError
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
-        """(batch MSE, gradient per params() name) of a batch that train() or
-        gradient_check() has already passed through _check_batch."""
+        """(batch MSE, gradient per trainable array name) of a batch that
+        train() or gradient_check() has already passed through _check_batch."""
         raise NotImplementedError
-
-    def params(self) -> dict[str, np.ndarray]:
-        """The trainable arrays of the store; SGD updates them in place."""
-        return {name: a for name, a in self.arrays.items() if name not in self.frozen}
 
     def _check_batch(self, x, y=None):
         x = np.asarray(x, dtype=float)
@@ -280,10 +281,9 @@ def rbf_widths(centers: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 class RbfModel(Regressor):
-    """Gaussian RBF network; centers/widths frozen, linear output trainable."""
+    """Gaussian RBF network; centers/widths fixed, linear output trainable."""
 
     family = "rbf"
-    frozen = ("centers", "widths")
 
     @staticmethod
     def _layout(arrays):
@@ -454,7 +454,6 @@ def train(model: Regressor, x, y, spec: TrainSpec, steps: int, seeds) -> TrainRe
     if len(rngs) != math.prod(model.lead):
         raise ValueError(f"expected one seed per stack member, got {len(rngs)} for {math.prod(model.lead)}")
     lr = spec.learning_rate
-    params = model.params()
     history = np.empty((steps, *model.lead))
     pos = n
     # Overflow on the way to a non-finite loss is reported by the Diverged below.
@@ -474,8 +473,8 @@ def train(model: Regressor, x, y, spec: TrainSpec, steps: int, seeds) -> TrainRe
                 raise err
             pos = end
             for name, g in grads.items():
-                g *= lr  # in place; the same bits as params[name] -= lr * g
-                params[name] -= g
+                g *= lr  # in place; the same bits as arrays[name] -= lr * g
+                model.arrays[name] -= g
             history[step] = loss
     return TrainResult(history)
 
@@ -496,33 +495,52 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
 
 
 def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT) -> list[np.ndarray]:
-    """Fit built models of one family in place, model k on rows xs[k], ys[k]
-    from seeds[k]; returns their loss histories. RBF solves each output layer
-    by ridge least squares (the history is that one MSE). The other families
-    need rows of one shape: they train as one stack (see train), for
-    spec.epochs * ceil(n / spec.batch_size) steps, and keep views of its arrays."""
-    if isinstance(models[0], RbfModel):
-        return [np.array([fit_rbf_output(m, x, y, ridge=ridge)]) for m, x, y in zip(models, xs, ys)]
-    stack = type(models[0]).stack(models)
-    steps = spec.epochs * math.ceil(len(xs[0]) / spec.batch_size)
-    history = train(stack, np.stack(xs), np.stack(ys), spec, steps, seeds).loss_history
-    for k, m in enumerate(models):
-        m.arrays = {name: a[k] for name, a in stack.arrays.items()}
-    return list(history.T)
+    """Fit built models in place, model k on rows xs[k], ys[k] from seeds[k];
+    returns their loss histories in list order.
+
+    The models go in groups of one family and row shape, in first-seen order.
+    RBF solves each output layer by ridge least squares (the history is that
+    one MSE). Each other group trains as stacks of at most STACK_LIMIT models
+    (see train), for spec.epochs * ceil(n / spec.batch_size) steps, whose
+    members keep views of the stack's arrays. A divergence raises Diverged
+    with `member` set to the list index of the model at fault.
+    """
+    groups = {}
+    for k, (model, x) in enumerate(zip(models, xs)):
+        groups.setdefault((model.family, np.shape(x)), []).append(k)
+    histories = [None] * len(models)
+    for (family, (n, _)), ks in groups.items():
+        if family == "rbf":
+            for k in ks:
+                histories[k] = np.array([fit_rbf_output(models[k], xs[k], ys[k], ridge=ridge)])
+            continue
+        steps = spec.epochs * math.ceil(n / spec.batch_size)
+        for i in range(0, len(ks), STACK_LIMIT):
+            part = ks[i : i + STACK_LIMIT]
+            stack = type(models[part[0]]).stack([models[k] for k in part])
+            x, y = (np.stack([rows[k] for k in part]) for rows in (xs, ys))
+            try:
+                history = train(stack, x, y, spec, steps, [seeds[k] for k in part]).loss_history
+            except Diverged as e:
+                e.member = part[e.member]
+                raise
+            for j, k in enumerate(part):
+                models[k].arrays = {name: a[j] for name, a in stack.arrays.items()}
+                histories[k] = history[:, j]
+    return histories
 
 
 def gradient_check(model: Regressor, x, y, h=1e-5) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Perturbs every parameter entry in place (restoring it afterwards) and
-    compares (L(p+h) - L(p-h)) / 2h against the analytic gradient.
+    Perturbs in place (restoring it afterwards) every entry of each array
+    that has a gradient, and compares (L(p+h) - L(p-h)) / 2h against it.
     """
     x, y = model._check_batch(x, y)
-    params = model.params()
     _, grads = model.loss_and_gradients(x, y)
     worst = 0.0
-    for name in sorted(params):
-        p = params[name].reshape(-1)
+    for name in sorted(grads):
+        p = model.arrays[name].reshape(-1)
         g = grads[name].reshape(-1)
         for i in range(p.size):
             orig = p[i]

@@ -22,8 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,10 +41,6 @@ REDRAW_CAP = 100
 
 # Keep loss_history.csv bounded: at most about this many rows per run.
 _HISTORY_ROWS = 400
-# Models per SGD stack. Past about ten, a CNN step's arrays outgrow the
-# caches: at batch 32 and input width 6, a model-step took 82 us in a stack
-# of 10 and 94 us in one of 30 (one core of a shared 2-core x86 host).
-STACK_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -403,21 +398,9 @@ class NormStats:
         return cls(**ranges)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    model_family: str
-    environment: str
-    layout: str
-    per_point_mae_mm: dict[int, float]
-    overall_mae_mm: float
-    n_test: int
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "per_point_mae_mm": {str(k): v for k, v in self.per_point_mae_mm.items()}}
-
-
-def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
-    """Mean Euclidean error (mm) of denormalized predictions on a test split.
+def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> tuple[float, dict[str, float]]:
+    """Mean Euclidean error (mm) of denormalized predictions on a test split:
+    (overall, per test point keyed by its id as text, as the reports key it).
 
     model: anything exposing forward_batch(normalized features) -> (n, 2)
     normalized coordinates. A non-finite error raises ValueError naming the family and layout.
@@ -429,15 +412,8 @@ def evaluate_mae(model, test_ds: Dataset, stats: NormStats) -> EvalReport:
         err_mm = 1000.0 * np.linalg.norm(pred - test_ds.targets, axis=1)
     if not np.isfinite(err_mm).all():
         raise ValueError(f"{family} predictions on the {test_ds.layout} layout are not finite")
-    per_point = {int(pid): float(err_mm[test_ds.point_ids == pid].mean()) for pid in np.unique(test_ds.point_ids)}
-    return EvalReport(
-        model_family=family,
-        environment=test_ds.env.name,
-        layout=test_ds.layout,
-        per_point_mae_mm=per_point,
-        overall_mae_mm=float(err_mm.mean()),
-        n_test=test_ds.n,
-    )
+    per_point = {str(pid): float(err_mm[test_ds.point_ids == pid].mean()) for pid in np.unique(test_ds.point_ids)}
+    return float(err_mm.mean()), per_point
 
 
 def improvement_percent(rssi_mae_mm: float, hybrid_mae_mm: float) -> float:
@@ -596,10 +572,8 @@ def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[t
 
 def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
     """The (environment index, seed) cells, in order: each cell's dataset,
-    split, baselines and models, with RBF solved per cell; then, per layout,
-    family and training shape, one neural.fit per STACK_LIMIT cells, which
-    trains their SGD models as one stack."""
-    results, groups = [], {}
+    split, baselines and built models, then one neural.fit of every model."""
+    results, jobs = [], []
     for env_idx, seed in cells:
         spec = config.envs[env_idx]
         dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
@@ -621,21 +595,16 @@ def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
                 model = neural.build(family, xn, init_seed, config.rbf_centers)
                 # The run's row, filled in once its model is fitted.
                 row = {"environment": spec.env.name, "seed": seed, "layout": layout, "model": family,
-                       "untrained_mae_mm": evaluate_mae(model, te, stats).overall_mae_mm}
+                       "untrained_mae_mm": evaluate_mae(model, te, stats)[0]}
                 cell["runs"].append(row)
-                if family == "rbf":
-                    _fit_jobs(config, [(row, model, xn, yn, train_seed, te, stats)])
-                else:
-                    groups.setdefault((layout, family, xn.shape), []).append((row, model, xn, yn, train_seed, te, stats))
-    for group in groups.values():
-        for i in range(0, len(group), STACK_LIMIT):
-            _fit_jobs(config, group[i : i + STACK_LIMIT])
+                jobs.append((row, model, xn, yn, train_seed, te, stats))
+    _fit_jobs(config, jobs)
     return results
 
 
 def _fit_jobs(config: ExperimentConfig, jobs):
-    """Fit jobs (row, model, x, y, train seed, test split, stats) of one family and
-    training shape in one neural.fit, and fill in their rows."""
+    """Fit jobs (row, model, x, y, train seed, test split, stats) in one
+    neural.fit, and fill in their rows."""
     _, models, xs, ys, seeds, _, _ = zip(*jobs)
     try:
         histories = neural.fit(models, xs, ys, config.train, seeds)
@@ -643,12 +612,11 @@ def _fit_jobs(config: ExperimentConfig, jobs):
         raise _cell_error(jobs[e.member][0], e) from e
     for (row, model, *_, te, stats), history in zip(jobs, histories):
         try:
-            trained = evaluate_mae(model, te, stats)
+            mae_mm, per_point = evaluate_mae(model, te, stats)
         except ValueError as e:
             raise _cell_error(row, e) from e
         stride = max(1, history.size // _HISTORY_ROWS)
-        row.update(mae_mm=trained.overall_mae_mm, final_loss=float(history[-1]), steps=int(history.size),
-                   per_point_mae_mm={str(k): v for k, v in trained.per_point_mae_mm.items()},
+        row.update(mae_mm=mae_mm, final_loss=float(history[-1]), steps=int(history.size), per_point_mae_mm=per_point,
                    loss_history=[[int(s), float(history[s])] for s in range(0, history.size, stride)])
 
 
@@ -683,6 +651,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     cells = [(ei, s) for ei in range(len(config.envs)) for s in config.seeds]
     workers = worker_count(len(cells))
     if workers > 1:
+        # Imported here: a serial sweep needs no process pool (nor multiprocessing).
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [cells[i * len(cells) // workers : (i + 1) * len(cells) // workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_results = [r for part in pool.map(_run_cells, [config] * workers, chunks) for r in part]

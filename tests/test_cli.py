@@ -381,6 +381,67 @@ def test_dataset_train_predict_eval_chain(capsys, tmp_path):
     assert eval_doc["n_test"] == 18  # 3 points x round(0.2 * 30)
 
 
+PINNED_TRAIN_EVAL = {
+    "rbf": (["--rbf-centers", "12"], """{
+  "final_loss": 0.003841,
+  "model": "rbf",
+  "out": "OUT",
+  "steps": 1,
+  "test_mae_mm": 261.039421,
+  "train_mae_mm": 192.150295
+}
+""", """{
+  "environment": "roomA",
+  "layout": "hybrid",
+  "model_family": "rbf",
+  "n_test": 18,
+  "overall_mae_mm": 261.039421,
+  "per_point_mae_mm": {
+    "0": 322.733799,
+    "1": 280.181401,
+    "2": 180.203064
+  }
+}
+"""),
+    "mlp": (["--epochs", "3", "--batch-size", "16"], """{
+  "final_loss": 0.164169,
+  "model": "mlp",
+  "out": "OUT",
+  "steps": 15,
+  "test_mae_mm": 1338.960225,
+  "train_mae_mm": 1329.884503
+}
+""", """{
+  "environment": "roomA",
+  "layout": "hybrid",
+  "model_family": "mlp",
+  "n_test": 18,
+  "overall_mae_mm": 1338.960225,
+  "per_point_mae_mm": {
+    "0": 284.337126,
+    "1": 2057.571178,
+    "2": 1674.972372
+  }
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_TRAIN_EVAL))
+def test_train_and_eval_print_the_pinned_text(capsys, tmp_path, model):
+    """The keys, values and rounding of `train` and `eval` stdout, as written
+    out here, on a small dataset."""
+    extra, want_train, want_eval = PINNED_TRAIN_EVAL[model]
+    ds_path, model_path = tmp_path / "ds.json", tmp_path / "model.json"
+    _run(capsys, ["simulate", "dataset", "--config", _config_file(tmp_path), "--env-name", "roomA",
+                  "--layout", "hybrid", "--seed", "3", "--out", str(ds_path)])
+    code, out, _ = _run(capsys, ["train", "--data", str(ds_path), "--model", model, "--out", str(model_path),
+                                 "--seed", "1", "--split-seed", "2", *extra])
+    assert code == 0 and out == want_train.replace("OUT", str(model_path))
+    code, out, _ = _run(capsys, ["eval", "--model", str(model_path), "--data", str(ds_path)])
+    assert code == 0 and out == want_eval
+
+
 def test_train_cnn(capsys, tmp_path):
     cfg = _config_file(tmp_path)
     ds_path = tmp_path / "ds.json"

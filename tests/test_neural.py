@@ -38,7 +38,7 @@ def _data(n=24, d=6, seed=0):
 
 def test_make_mlp_shapes_and_xavier_bounds():
     m = make_mlp(3, hidden=(32, 32), seed=1)
-    shapes = {k: v.shape for k, v in m.params().items()}
+    shapes = {k: v.shape for k, v in m.arrays.items()}
     assert shapes == {
         "w0": (32, 3),
         "b0": (32,),
@@ -48,18 +48,18 @@ def test_make_mlp_shapes_and_xavier_bounds():
         "b2": (2,),
     }
     limit0 = math.sqrt(6.0 / (3 + 32))
-    w0 = m.params()["w0"]
+    w0 = m.arrays["w0"]
     assert np.max(np.abs(w0)) <= limit0
     assert np.max(np.abs(w0)) > 0.5 * limit0  # actually fills the range
-    assert np.all(m.params()["b0"] == 0.0)
+    assert np.all(m.arrays["b0"] == 0.0)
 
 
 def test_make_mlp_seed_determinism():
     a = make_mlp(4, seed=7)
     b = make_mlp(4, seed=7)
     c = make_mlp(4, seed=8)
-    assert all(np.array_equal(a.params()[k], b.params()[k]) for k in a.params())
-    assert any(not np.array_equal(a.params()[k], c.params()[k]) for k in a.params())
+    assert all(np.array_equal(a.arrays[k], b.arrays[k]) for k in a.arrays)
+    assert any(not np.array_equal(a.arrays[k], c.arrays[k]) for k in a.arrays)
 
 
 def test_make_mlp_rejects_empty_hidden():
@@ -69,7 +69,7 @@ def test_make_mlp_rejects_empty_hidden():
 
 def test_make_cnn_shapes():
     m = make_cnn(6, filters=(16, 16), kernel_width=2, dense_width=32, seed=0)
-    p = m.params()
+    p = m.arrays
     assert p["cw0"].shape == (2, 1, 16)
     assert p["cw1"].shape == (2, 16, 16)
     # two convs of width 2 shrink length 6 to 4; flatten 4*16 = 64
@@ -246,6 +246,26 @@ def test_kmeans_matches_mask_loop_oracle_on_a_reference_cell(reference_cell, lay
     assert np.array_equal(kmeans(x, k, seed=seed), _kmeans_mask_loop(x, k, seed))
 
 
+def test_kmeans_matches_mask_loop_oracle_on_near_ties_and_order_dependent_sums():
+    """Rows near 1e7 with noise of mixed magnitudes, 1e-3 to 1. At the oracle's
+    centers some rows sit so near a tie that the expanded form
+    |x|^2 - 2 x.c + |c|^2 labels them otherwise, and some cluster sums change
+    with the order of their rows. So the labels and centers keep the oracle's
+    bits only with its feature-order distances and row-order sums. With one
+    center, the sum of all rows is a matrix-vector product's to reorder."""
+    rng = np.random.default_rng(12)
+    data = 1e7 + rng.standard_normal((30, 3)) * 10.0 ** rng.integers(-3, 1, size=(30, 1))
+    centers = _kmeans_mask_loop(data, 4, 12)
+    labels = np.argmin(np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+    expanded = (data * data).sum(axis=1)[:, None] - 2 * data @ centers.T + (centers * centers).sum(axis=1)
+    assert np.any(np.argmin(expanded, axis=1) != labels)
+    forward = [np.bincount(labels, weights=col, minlength=4) for col in data.T]
+    backward = [np.bincount(labels[::-1], weights=col[::-1], minlength=4) for col in data.T]
+    assert not np.array_equal(forward, backward)
+    assert np.array_equal(kmeans(data, 4, seed=12), centers)
+    assert np.array_equal(kmeans(data, 1, seed=12), _kmeans_mask_loop(data, 1, 12))
+
+
 def test_rbf_widths_two_nearest_oracle():
     centers = np.array([[0.0], [1.0], [3.0]])
     w = rbf_widths(centers, centers)
@@ -332,6 +352,24 @@ def test_gradient_check_random_configs():
         assert gradient_check(RbfModel.init(x, k=min(4, n), seed=i), x, y) < 1e-4
 
 
+def test_train_and_gradient_check_touch_only_the_rbf_output_layer():
+    """The RBF gradients name w_out and b_out only, so SGD never moves the
+    centers or widths and gradient_check perturbs nothing else."""
+    x, y = _data(20, 3, seed=16)
+    m = RbfModel.init(x, k=5, seed=0)
+    before = {name: a.copy() for name, a in m.arrays.items()}
+    train(m, x, y, TrainSpec(learning_rate=0.1, batch_size=8), steps=10, seeds=0)
+    for name in ("centers", "widths"):
+        assert np.array_equal(m.arrays[name], before[name]), name
+    for name in ("w_out", "b_out"):
+        assert np.all(m.arrays[name] != before[name]), name
+    calls = []
+    loss_and_gradients = m.loss_and_gradients
+    m.loss_and_gradients = lambda *args: calls.append(args) or loss_and_gradients(*args)
+    assert gradient_check(m, x, y) < 1e-4
+    assert len(calls) == 1 + 2 * (m.arrays["w_out"].size + m.arrays["b_out"].size)
+
+
 def _cnn_stacked_einsum(m, x, y):
     """CnnModel's loss and gradients as first written: per-tap shifted
     products for the convolutions and a stacked einsum per filter gradient."""
@@ -393,9 +431,9 @@ def test_cnn_im2col_gradients_match_stacked_einsum(extra, n, kernel_width, filte
     loss, grads = m.loss_and_gradients(x, y)
     ref_loss, ref = _cnn_stacked_einsum(m, x, y)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-    assert grads.keys() == ref.keys() == m.params().keys()
+    assert grads.keys() == ref.keys() == m.arrays.keys()
     for name in ref:
-        assert grads[name].shape == m.params()[name].shape
+        assert grads[name].shape == m.arrays[name].shape
         np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
 
@@ -422,9 +460,9 @@ def test_train_loss_history_and_decrease():
 def test_train_zero_learning_rate_keeps_params():
     x, y = _data(20, 3, seed=7)
     m = make_mlp(3, seed=2)
-    before = {k: v.copy() for k, v in m.params().items()}
+    before = {k: v.copy() for k, v in m.arrays.items()}
     train(m, x, y, TrainSpec(learning_rate=0.0, batch_size=8), steps=50, seeds=0)
-    for k, v in m.params().items():
+    for k, v in m.arrays.items():
         assert np.array_equal(v, before[k])
 
 
@@ -436,7 +474,7 @@ def test_train_deterministic():
     r1 = train(m1, x, y, spec, steps=100, seeds=5)
     r2 = train(m2, x, y, spec, steps=100, seeds=5)
     assert np.array_equal(r1.loss_history, r2.loss_history)
-    assert all(np.array_equal(m1.params()[k], m2.params()[k]) for k in m1.params())
+    assert all(np.array_equal(m1.arrays[k], m2.arrays[k]) for k in m1.arrays)
 
 
 def test_train_records_pre_update_loss():
@@ -560,6 +598,63 @@ def test_fit_trains_a_list_as_one_stack():
         assert model_to_dict(m) == model_to_dict(ref)
 
 
+def _assert_one_fit_gives_each_model_its_own(jobs, spec):
+    """Each built (model, x, y) of jobs() fitted alone, then all in one fit,
+    gives every model the same history and model file."""
+    alone = []
+    for k, (m, x, y) in enumerate(jobs()):
+        alone.append((neural.fit([m], [x], [y], spec, [90 + k])[0], model_to_dict(m)))
+    models, xs, ys = zip(*jobs())
+    histories = neural.fit(list(models), xs, ys, spec, [90 + k for k in range(len(models))])
+    for (h_ref, doc_ref), h, m in zip(alone, histories, models, strict=True):
+        assert np.array_equal(h, h_ref)
+        assert model_to_dict(m) == doc_ref
+
+
+def test_fit_gives_each_model_of_a_mixed_list_its_own_fit():
+    """MLP, CNN and RBF models on rows of 3 and 6 features, interleaved."""
+
+    def jobs():
+        for k in range(12):
+            family, width = ("mlp", "cnn", "rbf")[k % 3], (3, 6)[k // 3 % 2]
+            x, y = _data(20, width, seed=80 + k)
+            yield neural.build(family, x, seed=k, rbf_centers=4), x, y
+
+    _assert_one_fit_gives_each_model_its_own(jobs, TrainSpec(learning_rate=0.05, batch_size=8, epochs=2))
+
+
+def test_fit_trains_a_long_group_in_stacks_of_at_most_stack_limit(monkeypatch):
+    def jobs():
+        for k in range(neural.STACK_LIMIT + 2):
+            x, y = _data(20, 6, seed=100 + k)
+            yield neural.build("mlp", x, seed=k, rbf_centers=4), x, y
+
+    stacks = []
+    real_train = neural.train
+
+    def recording_train(model, *args):
+        stacks.append(model.lead)
+        return real_train(model, *args)
+
+    monkeypatch.setattr(neural, "train", recording_train)
+    _assert_one_fit_gives_each_model_its_own(jobs, TrainSpec(learning_rate=0.05, batch_size=8, epochs=2))
+    assert stacks == [(1,)] * (neural.STACK_LIMIT + 2) + [(neural.STACK_LIMIT,), (2,)]
+
+
+def test_fit_names_the_list_index_of_a_model_diverging_in_a_later_stack():
+    """Targets scaled by 1e4 diverge at this rate, and unscaled ones do not
+    (see the stack divergence test below); the bad model is member 1 of the
+    second stack."""
+    spec = TrainSpec(learning_rate=0.2, batch_size=8, epochs=100)
+    x, y = _data(24, 6, seed=15)
+    n, bad = neural.STACK_LIMIT + 2, neural.STACK_LIMIT + 1
+    models = [neural.build("mlp", x, seed=0, rbf_centers=4) for _ in range(n)]
+    ys = [y * 1e4 if k == bad else y for k in range(n)]
+    with pytest.raises(neural.Diverged, match="^mlp training diverged") as e:
+        neural.fit(models, [x] * n, ys, spec, [0] * n)
+    assert e.value.member == bad
+
+
 @pytest.mark.parametrize("family,lr", [("mlp", 0.2), ("cnn", 0.05)])
 def test_stack_divergence_names_the_earliest_step_and_its_first_member(family, lr):
     """Targets scaled up diverge sooner; the stack stops where the first member
@@ -615,8 +710,8 @@ def test_model_dict_roundtrip(family):
     m2, norm = model_from_dict(d)
     assert norm == {"feature_min": [0.0] * 6}
     assert np.allclose(m.forward_batch(x), m2.forward_batch(x), atol=1e-15)
-    for k in m.params():
-        assert np.array_equal(m.params()[k], m2.params()[k])
+    for k in m.arrays:
+        assert np.array_equal(m.arrays[k], m2.arrays[k])
 
 
 def test_model_from_dict_rejects_unknown():

@@ -398,11 +398,10 @@ def test_evaluate_mae_constant_offset_oracle():
     stats = NormStats.fit(ds)
     model = _FixedOffsetModel(stats, 0.25)
     model.prime(ds.targets)
-    rep = evaluate_mae(model, ds, stats)
-    assert rep.overall_mae_mm == pytest.approx(250.0, abs=1e-9)
-    assert rep.n_test == ds.n
-    assert set(rep.per_point_mae_mm) == {0, 1, 2}
-    for v in rep.per_point_mae_mm.values():
+    overall, per_point = evaluate_mae(model, ds, stats)
+    assert overall == pytest.approx(250.0, abs=1e-9)
+    assert set(per_point) == {"0", "1", "2"}
+    for v in per_point.values():
         assert v == pytest.approx(250.0, abs=1e-9)
 
 
@@ -423,16 +422,16 @@ def test_improvement_percent():
     stats = NormStats.fit(ds)
     a = _FixedOffsetModel(stats, 0.4)
     a.prime(ds.targets)
-    rep_rssi = evaluate_mae(a, ds, stats)
+    mae_rssi = evaluate_mae(a, ds, stats)[0]
     dsh = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="hybrid", seed=0,
                            aoa=AoaSim("fast", 0.0))
     b = _FixedOffsetModel(NormStats.fit(dsh), 0.1)
     b.prime(dsh.targets)
-    rep_h = evaluate_mae(b, dsh, NormStats.fit(dsh))
-    assert improvement_percent(rep_rssi.overall_mae_mm, rep_h.overall_mae_mm) == pytest.approx(75.0, abs=1e-9)
+    mae_h = evaluate_mae(b, dsh, NormStats.fit(dsh))[0]
+    assert improvement_percent(mae_rssi, mae_h) == pytest.approx(75.0, abs=1e-9)
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="rssi-layout MAE must be positive"):
-            improvement_percent(bad, rep_h.overall_mae_mm)
+            improvement_percent(bad, mae_h)
 
 
 def test_baselines_zero_noise_are_exact():
