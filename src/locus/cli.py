@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
-    p.add_argument("--rbf-centers", type=int, default=ExperimentConfig.rbf_centers)
+    p.add_argument("--rbf-centers", type=_int_at_least(1), default=ExperimentConfig.rbf_centers)
     p.add_argument("--ridge", type=float, default=neural.RIDGE_DEFAULT)
     p.set_defaults(func=_cmd_train)
 

@@ -224,7 +224,7 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np.ndarray:
+def kmeans(data: np.ndarray, k: int, seed=0) -> np.ndarray:
     """Lloyd k-means with seeded init, stopping once the assignments repeat.
 
     Initial centers are drawn without replacement from the deduplicated rows;
@@ -232,7 +232,7 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
     returned. Assignment ties go to the lowest center index; empty clusters
     keep their previous center. Repeated assignments would recompute the
     same centers, so stopping there gives the centers of a full run of
-    `iterations` steps.
+    KMEANS_ITERATIONS steps.
 
     Each iteration works on (n, k) arrays: _sq_dists for the distances and
     one bincount per feature for the cluster sums. For rows of fewer than 8
@@ -251,7 +251,7 @@ def kmeans(data: np.ndarray, k: int, seed=0, iterations=KMEANS_ITERATIONS) -> np
     rng = np.random.default_rng(seed)
     centers = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
     labels = None
-    for _ in range(iterations):
+    for _ in range(KMEANS_ITERATIONS):
         new_labels = np.argmin(_sq_dists(data, centers), axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break

@@ -169,7 +169,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 def dataset_from_dict(d: dict) -> Dataset:
     """Inverse of dataset_to_dict. A malformed document raises ValueError
-    naming the missing key, or the first sample with a bad row."""
+    naming the missing key, or the first sample with a bad row, a point id
+    outside the environment's test points or a target off its point."""
     if not isinstance(d, dict) or d.get("format") != "locus-dataset" or d.get("version") != 1:
         raise ValueError("not a recognized dataset document")
     missing = [key for key in ("environment", "layout", "seed", "samples") if key not in d]
@@ -198,6 +199,12 @@ def dataset_from_dict(d: dict) -> Dataset:
             out[i] = row
     env = read_section(Environment, d["environment"], "environment.")
     seed, rejects = (_cast(d.get(key, 0), int, key) for key in ("seed", "rejects"))
+    points = [[p.x, p.y] for p in env.test_points]
+    for i, (pid, target) in enumerate(zip(point_ids.tolist(), targets.tolist())):
+        if pid >= len(points):
+            raise ValueError(f"dataset sample {i}: 'point_id' {pid} is not one of the environment's {len(points)} test points")
+        if target != points[pid]:
+            raise ValueError(f"dataset sample {i}: 'target' {target} is not the position {points[pid]} of test point {pid}")
     return Dataset(env, d["layout"], seed, features, targets, point_ids, rejects)
 
 

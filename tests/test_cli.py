@@ -249,6 +249,8 @@ BAD_FLAGS = [
      ["argument --seed"]),
     ("train_negative_split_seed", ["train", "--data", "{file}", "--model", "mlp", "--out", "{out}",
                                    "--split-seed=-1"], 1, ["argument --split-seed"]),
+    ("train_zero_rbf_centers", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}",
+                                "--rbf-centers", "0"], 1, ["argument --rbf-centers: must be an integer >= 1, got '0'"]),
     ("dataset_zero_per_point", ["simulate", "dataset", "--config", "{file}", "--env-name", "roomA",
                                 "--out", "{out}", "--n-per-point", "0"], 2,
      ["n_per_point must be at least 1, got 0"]),
@@ -741,6 +743,10 @@ BAD_DATASETS = [
     ("text_feature", ("samples", 2, "features", 0), "loud", ["sample 2", "'features'"]),
     ("missing_point_id", ("samples", 3, "point_id"), _DELETE, ["sample 3", "'point_id'"]),
     ("negative_point_id", ("samples", 5, "point_id"), -1, ["sample 5", "'point_id'", "nonnegative"]),
+    ("foreign_point_id", ("samples", 5, "point_id"), 42,
+     ["error: dataset sample 5: 'point_id' 42 is not one of the environment's 3 test points"]),
+    ("target_off_point", ("samples", 7, "target"), [500, -3],
+     ["dataset sample 7: 'target' [500.0, -3.0] is not the position", "of test point 0"]),
     ("env_unknown_key", ("environment", "anchors", 0, "zz"), 1, ["environment.anchors[0].zz"]),
     ("env_text_number", ("environment", "test_points", 1, "x"), "2.5", ["environment.test_points[1].x", "finite number"]),
     ("env_bool_sign", ("environment", "anchors", 2, "sx"), True, ["environment.anchors[2].sx", "integer"]),
@@ -950,7 +956,7 @@ def test_print_json_refuses_nan(capsys):
 # module entry point
 
 
-def test_module_invocation():
+def test_module_invocation(tmp_path):
     # The child imports the locus package this test imported, installed or not.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -968,3 +974,13 @@ def test_module_invocation():
     )
     assert proc.returncode == 2
     assert "locus: error:" in proc.stderr
+
+    # The documented clean-checkout form of the reference experiment, on a tiny config.
+    proc = subprocess.run(
+        [sys.executable, "-m", "locus.cli", "report", "--config", _config_file(tmp_path), "--out", "out"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "total_rejects" in json.loads(proc.stdout)
+    for name in ("report.json", "mae_table.csv", "improvement_table.csv", "loss_history.csv"):
+        assert (tmp_path / "out" / name).is_file(), name
