@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -145,6 +146,21 @@ def _int_at_least(low):
     return parse
 
 
+def _finite_at_least(low):
+    """A flag type that refuses (exit 1, naming the flag) anything but a finite number >= low."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 _seed = _int_at_least(0)
 
 
@@ -258,8 +274,7 @@ def _cmd_train(args):
 def _load_model(path):
     doc = _read_json(path)
     model, norm = neural.model_from_dict(doc)
-    stats = None if norm is None else NormStats.from_dict(norm, model.input_dim)
-    return model, stats, doc
+    return model, NormStats.from_dict(norm, model.input_dim), doc
 
 
 def _finite_rows(values, what):
@@ -275,8 +290,8 @@ def _cmd_predict(args):
     rows = (_read_rows(args.input, "features", model.input_dim) if args.features is None
             else [_floats(part, "features", model.input_dim) for part in args.features.split(";")])
     x = _finite_rows(np.array(rows, dtype=float), "feature row")
-    pred = model.forward_batch(stats.normalize_features(x) if stats else x)
-    pred = _finite_rows(stats.denormalize_targets(pred) if stats else pred, "prediction for feature row")
+    pred = model.forward_batch(stats.normalize_features(x))
+    pred = _finite_rows(stats.denormalize_targets(pred), "prediction for feature row")
     if args.format == "csv":
         print("x_m,y_m")
         for px, py in pred:
@@ -289,8 +304,9 @@ def _cmd_predict(args):
 def _cmd_eval(args):
     model, stats, doc = _load_model(args.model)
     ds = dataset_from_dict(_read_json(args.data))
-    if stats is None:
-        raise ValueError("model file has no normalization stats; retrain with this tool")
+    if ds.features.shape[1] != model.input_dim:
+        raise ValueError(f"the model takes {model.input_dim} features, "
+                         f"but the dataset's {ds.layout} layout has {ds.features.shape[1]}")
     if doc.get("split") is not None:
         spec = read_section(SplitSpec, doc["split"], "split.")
         _, ds = split(ds, spec.train_fraction, seed=spec.seed)
@@ -388,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
     p.add_argument("--rbf-centers", type=_int_at_least(1), default=ExperimentConfig.rbf_centers)
-    p.add_argument("--ridge", type=float, default=neural.RIDGE_DEFAULT)
+    p.add_argument("--ridge", type=_finite_at_least(0), default=neural.RIDGE_DEFAULT)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict positions with a trained model")

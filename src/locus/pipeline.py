@@ -36,6 +36,7 @@ from .trilat import rssi_distances, trilaterate
 
 FEATURE_COLUMNS = {"rssi": 3, "hybrid": 6}
 LAYOUTS = tuple(FEATURE_COLUMNS)
+_LAYOUT_OF_WIDTH = {width: layout for layout, width in FEATURE_COLUMNS.items()}
 MODEL_FAMILIES = tuple(neural.FAMILIES)
 REDRAW_CAP = 100
 
@@ -119,26 +120,24 @@ class AoaSim:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature/target arrays over an environment's test points."""
+    """Feature rows drawn at an environment's test points; each row's target is its point's position."""
 
     env: Environment
-    layout: str
     seed: int
     features: np.ndarray  # (n, 3 or 6)
-    targets: np.ndarray  # (n, 2)
     point_ids: np.ndarray  # (n,)
     rejects: int = 0
 
     def __post_init__(self):
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
         check_bound(self, 0, "seed", "rejects")
-        want = FEATURE_COLUMNS[self.layout]
-        n = self.features.shape[0]
-        if self.features.ndim != 2 or self.features.shape[1] != want:
-            raise ValueError(f"{self.layout} layout needs {want} feature columns")
-        if self.targets.shape != (n, 2) or self.point_ids.shape != (n,):
-            raise ValueError("features, targets and point ids must align")
+        width_ok = self.features.ndim == 2 and self.features.shape[1] in _LAYOUT_OF_WIDTH
+        if not width_ok or self.point_ids.shape != self.features.shape[:1]:
+            raise ValueError(f"features must hold one row of {list(_LAYOUT_OF_WIDTH)} columns per point id")
+        points = len(self.env.test_points)
+        foreign = np.flatnonzero((self.point_ids < 0) | (self.point_ids >= points))
+        if foreign.size:
+            i = foreign[0]
+            raise ValueError(f"dataset sample {i}: 'point_id' {self.point_ids[i]} is not one of the environment's {points} test points")
         counts = np.bincount(self.point_ids)
         counts = counts[counts > 0]
         if counts.size and not np.all(counts == counts[0]):
@@ -148,16 +147,23 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def layout(self) -> str:
+        return _LAYOUT_OF_WIDTH[self.features.shape[1]]
+
+    @property
+    def targets(self) -> np.ndarray:
+        """(n, 2): each row's point position, in meters."""
+        return np.array([[p.x, p.y] for p in self.env.test_points])[self.point_ids]
+
     def project_rssi(self) -> "Dataset":
         """Drop the AoA columns, keeping the exact same accepted draws."""
         if self.layout != "hybrid":
             raise ValueError("only a hybrid dataset can be projected to rssi features")
-        return replace(self, layout="rssi", features=self.features[:, :3].copy())
+        return replace(self, features=self.features[:, :3].copy())
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return replace(
-            self, features=self.features[idx], targets=self.targets[idx], point_ids=self.point_ids[idx]
-        )
+        return replace(self, features=self.features[idx], point_ids=self.point_ids[idx])
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
@@ -199,13 +205,11 @@ def dataset_from_dict(d: dict) -> Dataset:
             out[i] = row
     env = read_section(Environment, d["environment"], "environment.")
     seed, rejects = (_cast(d.get(key, 0), int, key) for key in ("seed", "rejects"))
-    points = [[p.x, p.y] for p in env.test_points]
-    for i, (pid, target) in enumerate(zip(point_ids.tolist(), targets.tolist())):
-        if pid >= len(points):
-            raise ValueError(f"dataset sample {i}: 'point_id' {pid} is not one of the environment's {len(points)} test points")
-        if target != points[pid]:
-            raise ValueError(f"dataset sample {i}: 'target' {target} is not the position {points[pid]} of test point {pid}")
-    return Dataset(env, d["layout"], seed, features, targets, point_ids, rejects)
+    ds = Dataset(env, seed, features, point_ids, rejects)
+    for i, (target, point) in enumerate(zip(targets.tolist(), ds.targets.tolist())):
+        if target != point:
+            raise ValueError(f"dataset sample {i}: 'target' {target} is not the position {point} of test point {point_ids[i]}")
+    return ds
 
 
 def generate_dataset(
@@ -245,15 +249,8 @@ def generate_dataset(
         feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, limits)
         rejects += rej
         feats_all.append(feats)
-    return Dataset(
-        env=env,
-        layout=layout,
-        seed=int(seed),
-        features=np.vstack(feats_all),
-        targets=np.repeat([[p.x, p.y] for p in env.test_points], n_per_point, axis=0),
-        point_ids=np.repeat(np.arange(len(env.test_points)), n_per_point),
-        rejects=rejects,
-    )
+    point_ids = np.repeat(np.arange(len(env.test_points)), n_per_point)
+    return Dataset(env, int(seed), np.vstack(feats_all), point_ids, rejects)
 
 
 def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
@@ -486,15 +483,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.envs:
             raise ValueError("environments must hold at least one room")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be a nonempty list of nonnegative integers, got {list(self.seeds)}")
+        names = [spec.env.name for spec in self.envs]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"environments[{i}].name {name!r} repeats environments[{names.index(name)}].name")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of distinct nonnegative integers, got {list(self.seeds)}")
         check_bound(self, 1, "n_per_point", "rbf_centers")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         for name, allowed in (("models", MODEL_FAMILIES), ("layouts", LAYOUTS)):
             values = getattr(self, name)
-            if not values or not set(values) <= set(allowed):
-                raise ValueError(f"{name} must be a nonempty list from {list(allowed)}, got {list(values)}")
+            if not values or not set(values) <= set(allowed) or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be a nonempty list of distinct names from {list(allowed)}, got {list(values)}")
 
     def dataset(self, spec: EnvSpec, seed: int, layout: str = "hybrid") -> Dataset:
         """One room's dataset, drawn with this sweep's sample count, screen and AoA model."""

@@ -58,11 +58,14 @@ def rssi_distances(params, rssi) -> DistanceVector:
     """Anchor distances implied by three RSSI readings.
 
     params: one PathLossParams per anchor (anchor id order), or a single
-    set shared by all three. rssi: three readings in the same order.
+    set shared by all three. rssi: three finite readings in the same order.
     """
     params3 = per_anchor_params(params)
     if len(rssi) != 3:
         raise ValueError("exactly three rssi readings required")
+    for r in rssi:
+        if not math.isfinite(r):
+            raise ValueError(f"rssi readings must be finite, got {r}")
     return DistanceVector(tuple(rssi_to_distance(p, r) for p, r in zip(params3, rssi)))
 
 

@@ -254,6 +254,17 @@ BAD_FLAGS = [
     ("dataset_zero_per_point", ["simulate", "dataset", "--config", "{file}", "--env-name", "roomA",
                                 "--out", "{out}", "--n-per-point", "0"], 2,
      ["n_per_point must be at least 1, got 0"]),
+    ("train_negative_ridge", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}", "--ridge=-1"], 1,
+     ["argument --ridge: must be a finite number >= 0, got '-1'"]),
+    ("train_nan_ridge", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}", "--ridge", "nan"], 1,
+     ["argument --ridge: must be a finite number >= 0, got 'nan'"]),
+    ("train_inf_ridge", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}", "--ridge", "inf"], 1,
+     ["argument --ridge: must be a finite number >= 0, got 'inf'"]),
+    ("locate_inf_rssi", ["locate", "--room", "corridor", *GAMMA, "--rssi=inf,-60,-60"], 2,
+     ["error: rssi readings must be finite, got inf"]),
+    ("locate_hybrid_nan_rssi", ["locate", "--method", "hybrid", "--room", "corridor", *GAMMA,
+                                "--rssi=-50,nan,-60", "--aoa=10,20,30"], 2,
+     ["error: rssi readings must be finite, got nan"]),
 ]
 
 
@@ -613,6 +624,12 @@ BAD_CONFIGS = [
     ("grid_step_off_90", ("music", "grid_step_deg"), 1.1, "music.grid_step_deg"),
     ("grid_step_too_fine", ("music", "grid_step_deg"), 0.001, "music.grid_step_deg must be at least 0.01"),
     ("n_points", ("environments", 0, "n_points"), 0, "environments[0].n_points"),
+    ("seeds-repeated", ("seeds",), [0, 0],
+     "seeds must be a nonempty list of distinct nonnegative integers, got [0, 0]"),
+    ("models-repeated", ("models",), ["rbf", "rbf"],
+     "models must be a nonempty list of distinct names from ['mlp', 'rbf', 'cnn'], got ['rbf', 'rbf']"),
+    ("layouts-repeated", ("layouts",), ["rssi", "hybrid", "hybrid"],
+     "layouts must be a nonempty list of distinct names from ['rssi', 'hybrid'], got ['rssi', 'hybrid', 'hybrid']"),
 ]
 
 
@@ -642,6 +659,29 @@ def test_bad_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, comman
     assert code == 2, err
     assert stdout == ""
     assert "locus: error: " in err and key in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "simulate dataset"])
+def test_config_refuses_a_repeated_room_name(capsys, tmp_path, monkeypatch, command):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(pipeline, "_run_cells", no_cell)
+    doc = json.loads(open(_config_file(tmp_path)).read())
+    doc["environments"] = [{"name": "A", "length_m": 9, "width_m": 7},
+                           {"name": "A", "length_m": 13, "width_m": 13}]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "report": ["report", "--config", str(cfg), "--out", str(out)],
+        "simulate dataset": ["simulate", "dataset", "--config", str(cfg), "--env-name", "A", "--out", str(out)],
+    }[command]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == "locus: error: environments[1].name 'A' repeats environments[0].name\n"
     assert not out.exists()
 
 
@@ -711,6 +751,7 @@ BAD_MODELS = [
     ("empty_norm", ("norm",), {}, ["norm 'feature_min'", "6 finite"]),
     ("list_norm", ("norm",), [1], ["norm must be a JSON object, got [1]"]),
     ("unknown_norm_key", ("norm", "scale"), 2.0, ["unknown norm key 'scale'"]),
+    ("null_norm", ("norm",), None, ["error: norm must be a JSON object, got None"]),
 ]
 
 
@@ -804,6 +845,19 @@ def test_bad_model_split_exits_2_naming_the_key(capsys, tmp_path, good_files, ca
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_eval_refuses_a_dataset_of_the_other_layout(capsys, tmp_path, good_files):
+    ds_doc, model_doc = copy.deepcopy(good_files)
+    ds_doc["layout"] = "rssi"
+    for sample in ds_doc["samples"]:
+        sample["features"] = sample["features"][:3]
+    (tmp_path / "model.json").write_text(json.dumps(model_doc))
+    (tmp_path / "ds.json").write_text(json.dumps(ds_doc))
+    code, out, err = _run(capsys, ["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "ds.json")])
+    assert code == 2
+    assert out == ""
+    assert err == "locus: error: the model takes 6 features, but the dataset's rssi layout has 3\n"
 
 
 def test_model_without_split_is_scored_on_the_whole_dataset(capsys, tmp_path, good_files):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from locus.channel import PathLossParams, expected_rssi
 from locus.environment import Anchor, Environment, Point2D, make_environment, true_distance
-from locus.trilat import MAX_CONDITION, DistanceVector, _condition_2x2, rssi_to_distance, trilaterate
+from locus.trilat import MAX_CONDITION, DistanceVector, _condition_2x2, rssi_distances, rssi_to_distance, trilaterate
 
 
 def _env(l=13.0, w=13.0):
@@ -139,3 +139,12 @@ def test_trilaterate_refuses_a_near_singular_system():
     params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
     with pytest.raises(ValueError, match=r"condition number .* too large"):
         trilaterate(env, params, [-60.0, -60.0, -60.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rssi_distances_refuses_a_non_finite_reading(bad):
+    p = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+    with pytest.raises(ValueError, match=f"rssi readings must be finite, got {bad}"):
+        rssi_distances(p, [-50.0, bad, -60.0])
+    with pytest.raises(ValueError, match=f"rssi readings must be finite, got {bad}"):
+        trilaterate(_env(), p, [-50.0, -55.0, bad])
