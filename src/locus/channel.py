@@ -19,10 +19,12 @@ import numpy as np
 
 
 def check_bound(obj, bound, *names: str, strict: bool = False) -> None:
-    """ValueError naming the first of obj's fields `names` that is NaN or below
-    bound, or equal to it when strict."""
+    """ValueError naming the first of obj's fields `names` that is not a finite
+    number or is below bound, or equal to it when strict."""
     for name in names:
         value = getattr(obj, name)
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be a finite number, got {value}")
         if not (value > bound if strict else value >= bound):
             raise ValueError(f"{name} must be {'above' if strict else 'at least'} {bound}, got {value}")
 
@@ -85,7 +87,7 @@ class PathLossParams:
 
     gamma: path loss exponent, > 0
     sigma: shadowing standard deviation in dB, >= 0
-    p_r_d0: received power at the reference distance, dBm
+    p_r_d0: received power at the reference distance, dBm, finite
     d0: reference distance in meters, > 0 (1 m by default)
     """
 
@@ -97,9 +99,7 @@ class PathLossParams:
     def __post_init__(self):
         check_bound(self, 0, "gamma", "d0", strict=True)
         check_bound(self, 0, "sigma")
-        for v in (self.gamma, self.sigma, self.p_r_d0, self.d0):
-            if not math.isfinite(v):
-                raise ValueError("path loss parameters must be finite")
+        check_bound(self, -math.inf, "p_r_d0")
 
 
 @dataclass(frozen=True)

@@ -251,13 +251,13 @@ def _cmd_aoa(args):
 
 
 def _cmd_train(args):
+    spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
     ds = dataset_from_dict(_read_json(args.data))
     train_ds, test_ds = split(ds, args.train_fraction, seed=args.split_seed)
     stats = NormStats.fit(train_ds)
     xn = stats.normalize_features(train_ds.features)
     yn = stats.normalize_targets(train_ds.targets)
     model = neural.build(args.model, xn, args.seed, args.rbf_centers)
-    spec = neural.TrainSpec(args.learning_rate, args.batch_size, args.epochs)
     history = neural.fit([model], [xn], [yn], spec, [args.seed], ridge=args.ridge)[0]
     try:
         train_mae, test_mae = (evaluate_mae(model, part, stats)[0] for part in (train_ds, test_ds))

@@ -34,12 +34,7 @@ def hybrid_position(env: Environment, d: DistanceVector, thetas_deg) -> Position
         anchor = env.anchor(i + 1)
         sx, sy = anchor.frame
         t = math.radians(thetas[i])
-        fixes.append(
-            Point2D(anchor.position.x + sx * d.d[i] * math.sin(t), anchor.position.y + sy * d.d[i] * math.cos(t))
-        )
-    x = sum(f.x for f in fixes) / 3.0
-    y = sum(f.y for f in fixes) / 3.0
-    residual = max(
-        fixes[i].distance_to(fixes[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-    return PositionEstimate(p=Point2D(x, y), residual=residual)
+        fixes.append((anchor.position.x + sx * d.d[i] * math.sin(t), anchor.position.y + sy * d.d[i] * math.cos(t)))
+    (x1, y1), (x2, y2), (x3, y3) = fixes
+    residual = max(math.hypot(x1 - x2, y1 - y2), math.hypot(x1 - x3, y1 - y3), math.hypot(x2 - x3, y2 - y3))
+    return PositionEstimate(p=Point2D((x1 + x2 + x3) / 3.0, (y1 + y2 + y3) / 3.0), residual=residual)

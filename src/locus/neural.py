@@ -42,7 +42,7 @@ class TrainSpec:
     epochs: int = 200
 
     def __post_init__(self):
-        check_bound(self, 0, "learning_rate")
+        check_bound(self, 0, "learning_rate", strict=True)
         check_bound(self, 1, "batch_size", "epochs")
 
 

@@ -310,10 +310,9 @@ def split(ds: Dataset, train_fraction: float, seed: int = 0):
     """Per-point stratified split into (train, test) datasets.
 
     Each point's samples are shuffled and cut at round(fraction * count);
-    both sides must stay non-empty for every point.
+    both sides must stay non-empty for every point. SplitSpec checks the arguments.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
+    SplitSpec(train_fraction, seed)
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for pid in np.unique(ds.point_ids):

@@ -6,15 +6,15 @@ circle equations
     (x - xi)^2 + (y - yi)^2 = di^2        i = 1, 2, 3
 
 are linearized by subtracting the third from the first two, giving a square
-2x2 system A [x y]^T = b that is solved directly.
+2x2 system A [x y]^T = b, solved by Cramer's rule: for n = 2 it is forward
+stable (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+section 1.10.1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .channel import PathLossParams, per_anchor_params
 from .environment import Environment, Point2D
@@ -50,7 +50,12 @@ def rssi_to_distance(params: PathLossParams, rssi: float) -> float:
     Clamping keeps very strong readings (receiver closer than the reference
     distance, or positive noise spikes) from mapping to d < d0.
     """
-    d = params.d0 * 10.0 ** ((params.p_r_d0 - rssi) / (10.0 * params.gamma))
+    try:
+        d = params.d0 * 10.0 ** ((params.p_r_d0 - rssi) / (10.0 * params.gamma))
+    except OverflowError:
+        d = math.inf
+    if d == math.inf:
+        raise ValueError(f"rssi reading {rssi} implies a distance beyond the float range")
     return max(d, params.d0)
 
 
@@ -70,14 +75,14 @@ def rssi_distances(params, rssi) -> DistanceVector:
 
 
 def _condition_2x2(a) -> float:
-    """The 2-norm condition number of a 2x2 matrix, in closed form.
+    """The 2-norm condition number of a 2x2 matrix ((p, q), (r, s)), in closed form.
 
     The singular values satisfy sigma_max^2 + sigma_min^2 = F, the squared
     Frobenius norm, and sigma_max * sigma_min = |det|. So with
     t = F / (2 |det|), cond = sigma_max / sigma_min = t + sqrt(t^2 - 1), the
     value of np.linalg.cond(a) without its SVD. A zero determinant gives inf.
     """
-    (p, q), (r, s) = a.tolist()
+    (p, q), (r, s) = a
     det = abs(p * s - q * r)
     if det == 0.0:
         return math.inf
@@ -95,20 +100,17 @@ def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
     """
     d = rssi_distances(params, rssi)
     positions = [env.anchor(i).position for i in (1, 2, 3)]
-    (x1, y1), (x2, y2), (x3, y3) = [(p.x, p.y) for p in positions]
+    (x1, y1), (x2, y2), (x3, y3) = [(pos.x, pos.y) for pos in positions]
     d1, d2, d3 = d.d
-    a = np.array([[2.0 * (x3 - x1), 2.0 * (y3 - y1)], [2.0 * (x3 - x2), 2.0 * (y3 - y2)]])
-    b = np.array(
-        [
-            d1**2 - d3**2 - x1**2 + x3**2 - y1**2 + y3**2,
-            d2**2 - d3**2 - x2**2 + x3**2 - y2**2 + y3**2,
-        ]
-    )
-    cond = _condition_2x2(a)
+    p, q = 2.0 * (x3 - x1), 2.0 * (y3 - y1)
+    r, s = 2.0 * (x3 - x2), 2.0 * (y3 - y2)
+    b1 = d1**2 - d3**2 - x1**2 + x3**2 - y1**2 + y3**2
+    b2 = d2**2 - d3**2 - x2**2 + x3**2 - y2**2 + y3**2
+    cond = _condition_2x2(((p, q), (r, s)))
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise ValueError(f"linear system condition number {cond:.3e} too large")
-    x, y = np.linalg.solve(a, b)
-    est = Point2D(x, y)
+    det = p * s - q * r
+    est = Point2D((b1 * s - q * b2) / det, (p * b2 - r * b1) / det)
     mism = [est.distance_to(positions[i]) - d.d[i] for i in range(3)]
     residual = math.sqrt(sum(m * m for m in mism) / 3.0)
     return PositionEstimate(p=est, residual=residual)

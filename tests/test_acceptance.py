@@ -6,6 +6,7 @@ most expensive check) runs once in a session fixture and is shared by every
 test that inspects its output.
 """
 
+import hashlib
 import json
 import math
 import statistics
@@ -36,6 +37,10 @@ from locus.trilat import DistanceVector, trilaterate
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_CONFIG = REPO / "configs" / "paper_repro.json"
+
+# sha256 of the reference sweep's report.json, unchanged since it was first
+# recorded: a change that moves it on purpose rewrites it and says why.
+REFERENCE_REPORT_SHA256 = "8a4d6c355a47f4a447908f2d7abb916c90527e0e2a52810d496cdbf0a91d0350"
 
 MODEL_FAMILIES = ("mlp", "rbf", "cnn")
 ROOMS = ("big_classroom", "corridor", "small_classroom")
@@ -254,6 +259,12 @@ def test_sweep_runtime_budget(sweep, verdict):
         ok,
         f"exit code {sweep.code}, {sweep.elapsed:.0f}s (<900s) at 500 samples per point",
     )
+
+
+def test_reference_report_keeps_its_bits(sweep, verdict):
+    assert sweep.code == 0
+    digest = hashlib.sha256((sweep.out / "report.json").read_bytes()).hexdigest()
+    assert verdict("reference report.json bits", digest == REFERENCE_REPORT_SHA256, f"sha256 {digest}")
 
 
 def test_hybrid_beats_rssi_everywhere(sweep, verdict):

@@ -265,6 +265,21 @@ BAD_FLAGS = [
     ("locate_hybrid_nan_rssi", ["locate", "--method", "hybrid", "--room", "corridor", *GAMMA,
                                 "--rssi=-50,nan,-60", "--aoa=10,20,30"], 2,
      ["error: rssi readings must be finite, got nan"]),
+    ("train_zero_learning_rate", ["train", "--data", "{file}", "--model", "mlp", "--out", "{out}",
+                                  "--learning-rate", "0"], 2, ["error: learning_rate must be above 0, got 0.0"]),
+    ("locate_overflowing_rssi", ["locate", "--room", "corridor", *GAMMA, "--rssi=-100000,-60,-60"], 2,
+     ["error: rssi reading -100000.0 implies a distance beyond the float range"]),
+    ("locate_hybrid_overflowing_rssi", ["locate", "--method", "hybrid", "--room", "corridor", "--gamma", "0.0001",
+                                        "--p-r-d0=-40", "--rssi=-60,-60,-60", "--aoa=10,20,30"], 2,
+     ["error: rssi reading -60.0 implies a distance beyond the float range"]),
+    ("locate_inf_gamma", ["locate", "--room", "corridor", "--gamma", "inf", "--p-r-d0=-40", "--rssi=-50,-55,-60"], 2,
+     ["error: gamma must be a finite number, got inf"]),
+    ("rssi_nan_p_r_d0", ["simulate", "rssi", "--gamma", "2.5", "--p-r-d0=nan", "--distances=1,2"], 2,
+     ["error: p_r_d0 must be a finite number, got nan"]),
+    ("snapshots_inf_spacing", ["simulate", "snapshots", "--angles=10", "--spacing", "inf"], 2,
+     ["error: spacing_wavelengths must be a finite number, got inf"]),
+    ("train_inf_learning_rate", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}",
+                                 "--learning-rate", "inf"], 2, ["error: learning_rate must be a finite number, got inf"]),
 ]
 
 
@@ -630,6 +645,7 @@ BAD_CONFIGS = [
      "models must be a nonempty list of distinct names from ['mlp', 'rbf', 'cnn'], got ['rbf', 'rbf']"),
     ("layouts-repeated", ("layouts",), ["rssi", "hybrid", "hybrid"],
      "layouts must be a nonempty list of distinct names from ['rssi', 'hybrid'], got ['rssi', 'hybrid', 'hybrid']"),
+    ("learning_rate_zero", ("train", "learning_rate"), 0, "train.learning_rate must be above 0, got 0.0"),
 ]
 
 

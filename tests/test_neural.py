@@ -457,13 +457,10 @@ def test_train_loss_history_and_decrease():
     assert res.loss_history[-1] < res.loss_history[0]
 
 
-def test_train_zero_learning_rate_keeps_params():
-    x, y = _data(20, 3, seed=7)
-    m = make_mlp(3, seed=2)
-    before = {k: v.copy() for k, v in m.arrays.items()}
-    train(m, x, y, TrainSpec(learning_rate=0.0, batch_size=8), steps=50, seeds=0)
-    for k, v in m.arrays.items():
-        assert np.array_equal(v, before[k])
+def test_train_spec_refuses_a_zero_learning_rate():
+    """A zero rate would leave every model at its initialisation."""
+    with pytest.raises(ValueError, match="^learning_rate must be above 0, got 0.0$"):
+        TrainSpec(learning_rate=0.0, batch_size=8)
 
 
 def test_train_deterministic():

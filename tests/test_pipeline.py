@@ -15,6 +15,7 @@ from locus.pipeline import (
     MusicSpec,
     NormStats,
     OutlierPolicy,
+    SplitSpec,
     UsageError,
     config_to_dict,
     dataset_from_dict,
@@ -304,6 +305,17 @@ def test_split_deterministic_and_fraction_validation():
         split(ds, 1.0, seed=0)
     with pytest.raises(ValueError):
         split(ds, 0.01, seed=0)  # empty train side per point
+
+
+def test_split_refuses_what_split_spec_refuses_in_its_words():
+    env = _tiny_env()
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, layout="rssi", seed=0)
+    for fraction, seed in ((1.5, 0), (math.nan, 0), (0.8, -1)):
+        with pytest.raises(ValueError) as spec_error:
+            SplitSpec(fraction, seed)
+        with pytest.raises(ValueError) as split_error:
+            split(ds, fraction, seed=seed)
+        assert str(split_error.value) == str(spec_error.value)
 
 
 # ---------------------------------------------------------------------------

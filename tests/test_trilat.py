@@ -148,3 +148,14 @@ def test_rssi_distances_refuses_a_non_finite_reading(bad):
         rssi_distances(p, [-50.0, bad, -60.0])
     with pytest.raises(ValueError, match=f"rssi readings must be finite, got {bad}"):
         trilaterate(_env(), p, [-50.0, -55.0, bad])
+
+
+def test_rssi_to_distance_refuses_a_reading_whose_distance_overflows():
+    """Both the power's OverflowError and a product past the float range name the reading."""
+    p = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+    with pytest.raises(ValueError, match=r"^rssi reading -100000.0 implies a distance beyond the float range$"):
+        rssi_to_distance(p, -100000.0)
+    with pytest.raises(ValueError, match=r"^rssi reading -60.0 implies a distance beyond the float range$"):
+        rssi_to_distance(PathLossParams(gamma=1e-4, sigma=0.0, p_r_d0=-40.0), -60.0)
+    with pytest.raises(ValueError, match=r"^rssi reading -60.0 implies a distance beyond the float range$"):
+        rssi_to_distance(PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0, d0=1e308), -60.0)
