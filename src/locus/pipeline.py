@@ -226,7 +226,8 @@ def generate_dataset(
 
     Rejected draws are redrawn (at most REDRAW_CAP rounds per point); the
     total count of rejected draws is reported on the dataset. Bit-identical
-    output for a fixed seed.
+    output for a fixed seed. Rows are always drawn and screened in the hybrid
+    layout; an rssi dataset is the hybrid one without its AoA columns.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
@@ -244,13 +245,13 @@ def generate_dataset(
     rejects = 0
     for p in env.test_points:
         theo = [expected_rssi(params3[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
-        if layout == "hybrid":
-            theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
+        theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
         feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, limits)
         rejects += rej
         feats_all.append(feats)
     point_ids = np.repeat(np.arange(len(env.test_points)), n_per_point)
-    return Dataset(env, int(seed), np.vstack(feats_all), point_ids, rejects)
+    ds = Dataset(env, int(seed), np.vstack(feats_all), point_ids, rejects)
+    return ds if layout == "hybrid" else ds.project_rssi()
 
 
 def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
@@ -276,7 +277,7 @@ def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
 def _draw_point(rng, n, theo, sigmas, nlos, measure, limits):
     """n screened feature rows at one point and the count of rejected draws.
 
-    theo is the point's noise-free feature vector in layout order, and limits
+    theo is the point's noise-free hybrid feature vector, and limits
     the two threshold arguments of screen_outlier. Rows are
     drawn as a block and screened; the rejected rows are redrawn, for at most
     REDRAW_CAP rounds.
@@ -284,8 +285,6 @@ def _draw_point(rng, n, theo, sigmas, nlos, measure, limits):
 
     def draw(count):
         rssi = theo[:3] - nlos.excess_loss_db - rng.standard_normal((count, 3)) * sigmas
-        if theo.size == 3:
-            return rssi
         biased = theo[3:] + rng.standard_normal((count, 3)) * nlos.aoa_bias_deg_sigma
         return np.column_stack([rssi, measure(biased)])
 
@@ -489,8 +488,7 @@ class ExperimentConfig:
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be a nonempty list of distinct nonnegative integers, got {list(self.seeds)}")
         check_bound(self, 1, "n_per_point", "rbf_centers")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        SplitSpec(self.train_fraction, 0)
         for name, allowed in (("models", MODEL_FAMILIES), ("layouts", LAYOUTS)):
             values = getattr(self, name)
             if not values or not set(values) <= set(allowed) or len(set(values)) < len(values):

@@ -50,6 +50,7 @@ def rssi_to_distance(params: PathLossParams, rssi: float) -> float:
     Clamping keeps very strong readings (receiver closer than the reference
     distance, or positive noise spikes) from mapping to d < d0.
     """
+    rssi = float(rssi)
     try:
         d = params.d0 * 10.0 ** ((params.p_r_d0 - rssi) / (10.0 * params.gamma))
     except OverflowError:

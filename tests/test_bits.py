@@ -1,12 +1,15 @@
 """The bits of the program's outputs, pinned by sha256.
 
 A change that keeps behaviour keeps these files byte for byte:
-- the four report files of the benchmark's three workload configs at
-  workload seed 1, run serially and with LOCUS_THREADS=2;
+- the four report files and the `locus report` stdout of the benchmark's
+  three workload configs at workload seed 1, run serially and with
+  LOCUS_THREADS=2;
 - `locus simulate dataset` files in both layouts (big classroom, 12 per
   point);
-- `locus train` model files for each family on the hybrid dataset, with
-  `--epochs 5`.
+- `locus train` model files for each family on each dataset, with
+  `--epochs 5`;
+- the `locus eval` stdout of each hybrid model on its dataset, and its
+  `locus predict --features` stdout on three fixed rows.
 
 A change that moves bits on purpose rewrites the digests below in the same
 commit, and says in CHANGES.md which files moved and why.
@@ -58,8 +61,13 @@ REPORT_DIGESTS = {
         "loss_history.csv": "ed5ab97043b58eeebb2eab07ea3e406cb5ad41f98c9df94494ec39775b594960",
     },
 }
+REPORT_STDOUT_DIGESTS = {
+    "report_fast": "b0aaeacc36bba6e9515e8932d7abb365b59aadb1dcbbde0004a5af8ccad45520",
+    "report_music": "d33db28ee4e5aa3bca12671f91eb150e3081131405ecd6c4dd0ef39245597596",
+    "report_rbf": "740730a7194602eea62c2aa2152c974263cf111ecf6037ce90f02406d03d2950",
+}
 DATASET_DIGESTS = {
-    "rssi": "50d2d10beb469380b9a519e63e2a223a77f4ed38a16068be27022fac7acaddcd",
+    "rssi": "bb702602bdc17618c0b56599f08587367f7665924e8f327e5907908f38e9eb4e",
     "hybrid": "0d7db555fbc56012d698ed04e9e12eef463f2c6dfd519f1fc14012f6bd579684",
 }
 MODEL_DIGESTS = {
@@ -67,6 +75,21 @@ MODEL_DIGESTS = {
     "rbf": "237f960a60402e35275e2aeadaae41696597753e7cb587bc5d3c5ce9cd97e2b8",
     "cnn": "0d8e5e531c65c72a8c92141b3621db8f23f6e6272328bbd289cbb240fe3219a5",
 }
+RSSI_MODEL_DIGESTS = {
+    "mlp": "0461832c918f8bc1c47322f0f26bad1de0d7d415cdb83337da0b38423a260504",
+    "rbf": "40be6884172951db4c523f5af95b6f8bcbccfc582f74389fc39c5433dbd70bfb",
+    "cnn": "21724914c3fd8b18615e6e748ac7ee03ca9ef0773826e749cd2eeda3d7d7f5b9",
+}
+# The stdout of `eval` and of `predict --features PREDICT_ROWS` for each hybrid model.
+MODEL_STDOUT_DIGESTS = {
+    "mlp": {"eval": "3f8b0fdeb7a92a8b83f6bc7a9097db43733527d91c6a9d5752f867d21c6604e3",
+            "predict": "fa7973c5a16c0a455682a4ba539fb54b8fa2e8c84cb754bccee46b0af22f588a"},
+    "rbf": {"eval": "e55a2ba76fd7c1efdd92b9a6590117a2917d55f3e440d1a94bdb911048697db9",
+            "predict": "3c292f06a7966c51da7d5a6af75f95fcfa144b5e8283ecb0d91ce8a02b760e21"},
+    "cnn": {"eval": "f4e862b8bc2e07b6e59ca038e7c178768ade7caadca744638358c95c052f35dc",
+            "predict": "9032449de8c57df698d8457952387838ba367647a9e4f1dd067bc4884aa8bbc7"},
+}
+PREDICT_ROWS = "-52.1,-63.9,-60.2,41.2,-37.8,12.5;-56.2,-66.9,-68.0,36.4,-108.0,-8.5;-63.0,-67.3,-67.1,50.0,-136.3,-45.5"
 
 
 def _check_build():
@@ -84,15 +107,23 @@ def _locus(*argv):
     assert main([str(a) for a in argv]) == 0
 
 
+def _stdout_sha256(capsys, *argv):
+    capsys.readouterr()
+    _locus(*argv)
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_workload_reports_keep_their_bits(tmp_path, monkeypatch, workload, threads):
+def test_workload_reports_keep_their_bits(tmp_path, monkeypatch, capsys, workload, threads):
     _check_build()
-    config, out = tmp_path / "config.json", tmp_path / "out"
-    config.write_text(json.dumps(workloads.make_config(workload, 1)))
+    # Relative paths, so that the out_dir the report prints is the same in every run.
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(workloads.make_config(workload, 1)))
     monkeypatch.setenv("LOCUS_THREADS", threads)
-    _locus("report", "--config", config, "--out", out)
-    assert {name: _sha256(out / name) for name in REPORT_DIGESTS[workload]} == REPORT_DIGESTS[workload]
+    stdout = _stdout_sha256(capsys, "report", "--config", "config.json", "--out", "out")
+    assert {name: _sha256(tmp_path / "out" / name) for name in REPORT_DIGESTS[workload]} == REPORT_DIGESTS[workload]
+    assert stdout == REPORT_STDOUT_DIGESTS[workload]
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +135,17 @@ def datasets(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def models(tmp_path_factory, datasets):
+    """The model file of each family trained on each dataset, named `<layout>_<family>.json`."""
+    out = tmp_path_factory.mktemp("models")
+    for layout in DATASET_DIGESTS:
+        for model in MODEL_DIGESTS:
+            _locus("train", "--data", datasets / f"{layout}.json", "--model", model,
+                   "--out", out / f"{layout}_{model}.json", "--epochs", 5)
+    return out
+
+
 @pytest.mark.parametrize("layout", sorted(DATASET_DIGESTS))
 def test_dataset_files_keep_their_bits(datasets, layout):
     _check_build()
@@ -111,8 +153,23 @@ def test_dataset_files_keep_their_bits(datasets, layout):
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_DIGESTS))
-def test_model_files_keep_their_bits(tmp_path, datasets, model):
+def test_model_files_keep_their_bits(models, model):
     _check_build()
-    _locus("train", "--data", datasets / "hybrid.json", "--model", model, "--out", tmp_path / "model.json",
-           "--epochs", 5)
-    assert _sha256(tmp_path / "model.json") == MODEL_DIGESTS[model]
+    assert _sha256(models / f"hybrid_{model}.json") == MODEL_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(RSSI_MODEL_DIGESTS))
+def test_rssi_model_files_keep_their_bits(models, model):
+    _check_build()
+    assert _sha256(models / f"rssi_{model}.json") == RSSI_MODEL_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_STDOUT_DIGESTS))
+def test_model_eval_and_predict_stdout_keep_their_bits(capsys, datasets, models, model):
+    _check_build()
+    path = models / f"hybrid_{model}.json"
+    stdout = {
+        "eval": _stdout_sha256(capsys, "eval", "--model", path, "--data", datasets / "hybrid.json"),
+        "predict": _stdout_sha256(capsys, "predict", "--model", path, f"--features={PREDICT_ROWS}"),
+    }
+    assert stdout == MODEL_STDOUT_DIGESTS[model]

@@ -505,6 +505,25 @@ def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
     assert f"{want.rejects} redraws" in out
 
 
+@pytest.mark.parametrize("aoa_mode", ["fast", "music"])
+def test_rssi_dataset_is_the_hybrid_draw_without_its_angles(capsys, tmp_path, aoa_mode):
+    """At one seed both layouts hold the same draws, redraw count and points."""
+    # A tight screen, so that both the RSSI and the angle thresholds redraw rows.
+    cfg = _config_file(tmp_path, aoa_mode=aoa_mode, n_per_point=12,
+                       outlier={"rssi_sigma_multiple": 2.0, "aoa_threshold_deg": 4.0})
+    docs = {}
+    for layout in ("rssi", "hybrid"):
+        path = tmp_path / f"{layout}.json"
+        code, _, _ = _run(capsys, ["simulate", "dataset", "--config", cfg, "--env-name", "roomA",
+                                   "--layout", layout, "--seed", "4", "--out", str(path)])
+        assert code == 0
+        docs[layout] = json.loads(path.read_text())
+    hybrid = docs["hybrid"]
+    assert hybrid["rejects"] > 0
+    assert docs["rssi"] == {**hybrid, "layout": "rssi",
+                            "samples": [{**s, "features": s["features"][:3]} for s in hybrid["samples"]]}
+
+
 def test_train_with_overflowing_predictions_writes_no_model(capsys, tmp_path):
     cfg = _config_file(tmp_path)
     ds_path, model_path = tmp_path / "ds.json", tmp_path / "model.json"

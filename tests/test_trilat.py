@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,3 +160,12 @@ def test_rssi_to_distance_refuses_a_reading_whose_distance_overflows():
         rssi_to_distance(PathLossParams(gamma=1e-4, sigma=0.0, p_r_d0=-40.0), -60.0)
     with pytest.raises(ValueError, match=r"^rssi reading -60.0 implies a distance beyond the float range$"):
         rssi_to_distance(PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0, d0=1e308), -60.0)
+
+
+def test_rssi_to_distance_refuses_an_overflowing_numpy_reading_without_a_warning():
+    """A numpy float, as the sweep's baselines pass, gets the same refusal and no RuntimeWarning."""
+    p = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rssi reading -100000.0 implies a distance beyond the float range$"):
+            rssi_to_distance(p, np.float64(-100000.0))
