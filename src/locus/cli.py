@@ -18,9 +18,8 @@ import numpy as np
 
 from . import neural
 from .aoa import estimate_aoa, grid_size, music_spectrum
-from .channel import ArraySpec, PathLossParams, SnapshotMatrix, json_form, read_section, simulate_rssi, simulate_snapshots
-from .environment import STANDARD_ROOMS, load_environment, standard_environment
-from .hybrid import hybrid_position
+from .channel import ArraySpec, PathLossParams, SnapshotMatrix, fit_path_loss, json_form, read_section, simulate_rssi, simulate_snapshots
+from .environment import STANDARD_ROOMS, Environment, standard_environment
 from .pipeline import (
     LAYOUTS,
     ExperimentConfig,
@@ -37,8 +36,7 @@ from .pipeline import (
     run_experiment,
     split,
 )
-from .plfit import fit_path_loss
-from .trilat import rssi_distances, trilaterate
+from .trilat import hybrid_position, rssi_distances, trilaterate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +169,7 @@ _seed = _int_at_least(0)
 def _cmd_fit(args):
     rows = _read_rows(args.input, "values", 2)
     result = fit_path_loss(rows[:, 0], rows[:, 1], d0=args.d0)
-    _print_json({**asdict(result.params), "residual_rms": result.residual_rms, "n_samples": result.n_samples})
+    _print_json({**asdict(result.params), "residual_rms": result.residual_rms, "n_samples": len(rows)})
     return 0
 
 
@@ -224,7 +222,7 @@ def _cmd_locate(args):
         raise UsageError("--d0 goes only with --gamma and --p-r-d0; a --params file carries its own d0")
     if args.method == "hybrid" and args.aoa is None:
         raise UsageError("--method hybrid needs --aoa A1,A2,A3")
-    env = standard_environment(args.room) if args.room else load_environment(args.env)
+    env = standard_environment(args.room) if args.room else read_section(Environment, _read_json(args.env), "")
     # sigma is 0.0: inverting RSSI to distance reads only gamma, p_r_d0 and d0.
     params = (path_loss_from_dict(_read_json(args.params)) if args.gamma is None
               else PathLossParams(args.gamma, 0.0, args.p_r_d0, PathLossParams.d0 if args.d0 is None else args.d0))

@@ -13,13 +13,12 @@ any single anchor reconstructs the point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_bound, read_section
+from .channel import check_bound
 
 # Default sign frames per anchor id. Anchor 1 adds both offsets, anchor 2
 # flips the y offset, anchor 3 flips both.
@@ -201,9 +200,3 @@ def standard_environment(name: str) -> Environment:
         raise ValueError(f"unknown room {name!r}; choices: {sorted(STANDARD_ROOMS)}")
     return STANDARD_ROOMS[name].environment()
 
-
-def load_environment(path) -> Environment:
-    """The room of a room file. Every key is read strictly (see read_section):
-    a bad key or value raises ValueError naming its path, such as anchors[0].id."""
-    with open(path) as f:
-        return read_section(Environment, json.load(f), "")

@@ -30,9 +30,8 @@ from . import neural
 from .channel import ArraySpec, NlosModel, PathLossParams, _cast, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
 from .environment import Environment, GridRoom, Point2D, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
-from .hybrid import hybrid_position
 from .neural import TrainSpec
-from .trilat import rssi_distances, trilaterate
+from .trilat import hybrid_position, rssi_distances, trilaterate
 
 FEATURE_COLUMNS = {"rssi": 3, "hybrid": 6}
 LAYOUTS = tuple(FEATURE_COLUMNS)
@@ -63,20 +62,19 @@ class OutlierPolicy:
 def screen_outlier(theoretical, measured, rssi_threshold_db, aoa_threshold_deg) -> np.ndarray:
     """Accepted mask of measured feature rows.
 
-    theoretical is one layout-ordered vector: 3 RSSI values, optionally
-    followed by 3 AoA values. measured holds (n, 3|6) rows in the same layout
-    and gives an (n,) mask; a single row gives a scalar. A row is accepted
-    when every |measured - theoretical| is <= its threshold: rssi_threshold_db
-    holds one per anchor (dB), aoa_threshold_deg is shared by the angles, and
-    zero-noise data passes zero thresholds. Angle differences are wrapped: a
+    theoretical is one hybrid vector: 3 RSSI values, then 3 AoA values.
+    measured holds (n, 6) rows in the same layout and gives an (n,) mask; a
+    single row gives a scalar. A row is accepted when every
+    |measured - theoretical| is <= its threshold: rssi_threshold_db holds one
+    per anchor (dB), aoa_threshold_deg is shared by the angles, and zero-noise
+    data passes zero thresholds. Angle differences are wrapped: a
     deviation d counts as min(|d| mod 360, 360 - |d| mod 360), which is |d|
     itself whenever |d| <= 180.
     """
     theoretical = np.asarray(theoretical, dtype=float)
     measured = np.asarray(measured, dtype=float)
-    width = theoretical.shape[-1]
-    if theoretical.ndim != 1 or width not in (3, 6) or measured.shape[-1] != width:
-        raise ValueError("feature vectors must both have 3 or 6 entries")
+    if theoretical.shape != (6,) or measured.shape[-1] != 6:
+        raise ValueError("feature vectors must both have 6 entries: 3 RSSI values, then 3 angles")
     dev = np.abs(measured - theoretical)
     bad = np.any(dev[..., :3] > np.asarray(rssi_threshold_db), axis=-1)
     turn = dev[..., 3:] % 360.0

@@ -1,14 +1,22 @@
-"""RSSI-based trilateration.
+"""The closed-form position fixes: RSSI trilateration and the hybrid RSSI+AoA fix.
 
-Distances are recovered by inverting the log-distance model, then the three
-circle equations
+Both recover anchor distances by inverting the log-distance model.
+Trilateration then linearizes the three circle equations
 
     (x - xi)^2 + (y - yi)^2 = di^2        i = 1, 2, 3
 
-are linearized by subtracting the third from the first two, giving a square
-2x2 system A [x y]^T = b, solved by Cramer's rule: for n = 2 it is forward
-stable (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-section 1.10.1).
+by subtracting the third from the first two, giving a square 2x2 system
+A [x y]^T = b, solved by Cramer's rule: for n = 2 it is forward stable
+(Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., section
+1.10.1).
+
+The hybrid fix turns each anchor's (distance, angle) pair into a full
+position fix through the anchor's sign frame,
+
+    x = ax + sx * d * sin(theta),   y = ay + sy * d * cos(theta)
+
+and averages the three; the spread of those fixes (max pairwise distance) is
+reported as the residual.
 """
 
 from __future__ import annotations
@@ -115,3 +123,26 @@ def trilaterate(env: Environment, params, rssi) -> PositionEstimate:
     mism = [est.distance_to(positions[i]) - d.d[i] for i in range(3)]
     residual = math.sqrt(sum(m * m for m in mism) / 3.0)
     return PositionEstimate(p=est, residual=residual)
+
+
+def hybrid_position(env: Environment, d: DistanceVector, thetas_deg) -> PositionEstimate:
+    """Average the three single-anchor fixes.
+
+    thetas_deg: bearing angles in anchor id order (1, 2, 3). The residual is
+    the maximum pairwise distance among the three fixes; it is zero exactly
+    when distances and angles are mutually consistent.
+    """
+    thetas = list(thetas_deg)
+    if len(thetas) != 3:
+        raise ValueError("exactly three angles required")
+    fixes = []
+    for i in range(3):
+        if not math.isfinite(thetas[i]):
+            raise ValueError("angle must be finite")
+        anchor = env.anchor(i + 1)
+        sx, sy = anchor.frame
+        t = math.radians(thetas[i])
+        fixes.append((anchor.position.x + sx * d.d[i] * math.sin(t), anchor.position.y + sy * d.d[i] * math.cos(t)))
+    (x1, y1), (x2, y2), (x3, y3) = fixes
+    residual = max(math.hypot(x1 - x2, y1 - y2), math.hypot(x1 - x3, y1 - y3), math.hypot(x2 - x3, y2 - y3))
+    return PositionEstimate(p=Point2D((x1 + x2 + x3) / 3.0, (y1 + y2 + y3) / 3.0), residual=residual)

@@ -24,16 +24,15 @@ from locus.channel import (
     NlosModel,
     PathLossParams,
     expected_rssi,
+    fit_path_loss,
     simulate_rssi,
     simulate_snapshots,
     steering_matrix,
 )
 from locus.cli import main as cli_main
 from locus.environment import STANDARD_ROOMS, Point2D, standard_environment, true_aoa, true_distance
-from locus.hybrid import hybrid_position
 from locus.pipeline import NormStats, generate_dataset, load_config, run_experiment, split
-from locus.plfit import fit_path_loss
-from locus.trilat import DistanceVector, trilaterate
+from locus.trilat import DistanceVector, hybrid_position, trilaterate
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_CONFIG = REPO / "configs" / "paper_repro.json"

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from locus.channel import PathLossParams, expected_rssi
 from locus.environment import Anchor, Environment, Point2D, make_environment, true_aoa, true_distance
-from locus.hybrid import hybrid_position
-from locus.trilat import DistanceVector, trilaterate
+from locus.trilat import DistanceVector, hybrid_position, trilaterate
 
 
 def _env(l=13.0, w=13.0):

@@ -67,10 +67,12 @@ def test_screen_rejects_each_channel():
     assert not screen_outlier(theo, bad_aoa, *LIMITS)
 
 
-def test_screen_rssi_only_layout():
+def test_screen_refuses_rssi_only_rows():
     theo = np.array([-50.0, -60.0, -70.0])
-    assert screen_outlier(theo, theo + 8.0, *LIMITS)
-    assert not screen_outlier(theo, theo + np.array([0.0, 9.5, 0.0]), *LIMITS)
+    hybrid = np.concatenate([theo, [10.0, 20.0, 30.0]])
+    for theoretical, measured in ((theo, theo), (hybrid, theo), (theo, hybrid)):
+        with pytest.raises(ValueError, match="6 entries: 3 RSSI values, then 3 angles"):
+            screen_outlier(theoretical, measured, *LIMITS)
 
 
 def test_screen_wraps_angle_deviations():
@@ -114,7 +116,7 @@ def test_screen_mask_invariant_to_whole_turns(theo, meas, which, turns, shift_th
 
 @settings(max_examples=100, deadline=None)
 @given(
-    theo=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3) | st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    theo=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
     n=st.integers(1, 5),
 )
 def test_screen_zero_noise_passes_zero_thresholds(theo, n):

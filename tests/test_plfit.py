@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from locus.channel import PathLossParams, expected_rssi, simulate_rssi
-from locus.plfit import fit_path_loss
+from locus.channel import PathLossParams, expected_rssi, fit_path_loss, simulate_rssi
 
 
 def test_exact_recovery_noise_free():
@@ -14,7 +13,6 @@ def test_exact_recovery_noise_free():
     assert res.params.p_r_d0 == pytest.approx(-40.0, abs=1e-12)
     assert res.params.sigma == pytest.approx(0.0, abs=1e-9)
     assert res.residual_rms == pytest.approx(0.0, abs=1e-9)
-    assert res.n_samples == 3
 
 
 def test_against_polyfit_oracle():
