@@ -235,10 +235,12 @@ def kmeans(data: np.ndarray, k: int, seed=0) -> np.ndarray:
     KMEANS_ITERATIONS steps.
 
     Each iteration works on (n, k) arrays: _sq_dists for the distances and
-    one bincount per feature for the cluster sums. For rows of fewer than 8
-    features the distances have the bits of the (n, k, d) form
-    np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2), so the
-    labels and centers do too; every feature layout has 3 or 6.
+    one bincount per feature for the cluster sums. The distances are kept
+    across iterations and only the columns of centers that moved are
+    recomputed; a center whose cluster kept its rows gets the same bits.
+    For rows of fewer than 8 features the distances have the bits of the
+    (n, k, d) form np.sum((data[:, None, :] - centers[None, :, :]) ** 2,
+    axis=2), so the labels and centers do too; every layout has 3 or 6.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
@@ -250,9 +252,10 @@ def kmeans(data: np.ndarray, k: int, seed=0) -> np.ndarray:
         return unique.copy()
     rng = np.random.default_rng(seed)
     centers = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
+    d2 = _sq_dists(data, centers)
     labels = None
     for _ in range(KMEANS_ITERATIONS):
-        new_labels = np.argmin(_sq_dists(data, centers), axis=1)
+        new_labels = np.argmin(d2, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -261,7 +264,11 @@ def kmeans(data: np.ndarray, k: int, seed=0) -> np.ndarray:
         sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in data.T])
         counts = np.bincount(labels, minlength=k)
         filled = counts > 0
+        old = centers.copy()
         centers[filled] = sums[filled] / counts[filled, None]
+        moved = np.flatnonzero((centers != old).any(axis=1))
+        # Computed (m, n), along the rows: an (n, m) broadcast's inner loop is only m long.
+        d2[:, moved] = _sq_dists(centers[moved], data).T
     return centers
 
 

@@ -424,9 +424,9 @@ def improvement_percent(rssi_mae_mm: float, hybrid_mae_mm: float) -> float:
 
 
 def _baseline_mae_mm(test_ds: Dataset, locate) -> float:
-    """Mean error (mm) of locate(feature row) -> PositionEstimate over a test split."""
-    ests = [locate(row).p for row in test_ds.features]
-    return 1000.0 * float(np.mean([math.hypot(e.x - tx, e.y - ty) for e, (tx, ty) in zip(ests, test_ds.targets)]))
+    """Mean error (mm) of locate(feature row as floats) -> PositionEstimate over a test split."""
+    ests = [locate(row).p for row in test_ds.features.tolist()]
+    return 1000.0 * float(np.mean([math.hypot(e.x - tx, e.y - ty) for e, (tx, ty) in zip(ests, test_ds.targets.tolist())]))
 
 
 def trilat_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
@@ -575,7 +575,7 @@ def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[t
 
 def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
     """The (environment index, seed) cells, in order: each cell's dataset,
-    split, baselines and built models, then one neural.fit of every model."""
+    split, baselines, built models and RBF ridge solves, then _fit_jobs."""
     results, jobs = [], []
     for env_idx, seed in cells:
         spec = config.envs[env_idx]
@@ -600,20 +600,27 @@ def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
                 row = {"environment": spec.env.name, "seed": seed, "layout": layout, "model": family,
                        "untrained_mae_mm": evaluate_mae(model, te, stats)[0]}
                 cell["runs"].append(row)
-                jobs.append((row, model, xn, yn, train_seed, te, stats))
+                # A ridge solve gains nothing from a stack: solved here, an RBF's job holds no rows.
+                fit = neural.fit([model], [xn], [yn], config.train, [train_seed])[0] if family == "rbf" else (xn, yn, train_seed)
+                jobs.append((row, model, fit, te, stats))
     _fit_jobs(config, jobs)
     return results
 
 
 def _fit_jobs(config: ExperimentConfig, jobs):
-    """Fit jobs (row, model, x, y, train seed, test split, stats) in one
-    neural.fit, and fill in their rows."""
-    _, models, xs, ys, seeds, _, _ = zip(*jobs)
-    try:
-        histories = neural.fit(models, xs, ys, config.train, seeds)
-    except neural.Diverged as e:
-        raise _cell_error(jobs[e.member][0], e) from e
-    for (row, model, *_, te, stats), history in zip(jobs, histories):
+    """Fill in the rows of jobs (row, model, fit, test split, stats) in job order. A fit is the
+    loss history of a model fitted in its cell (an RBF, so an RBF-only sweep holds one cell's
+    rows at a time) or the (x, y, train seed) of a model to train; those go to one neural.fit."""
+    todo = [k for k, job in enumerate(jobs) if isinstance(job[2], tuple)]
+    histories = [job[2] for job in jobs]
+    if todo:
+        xs, ys, seeds = zip(*(jobs[k][2] for k in todo))
+        try:
+            for k, history in zip(todo, neural.fit([jobs[k][1] for k in todo], xs, ys, config.train, seeds)):
+                histories[k] = history
+        except neural.Diverged as e:
+            raise _cell_error(jobs[todo[e.member]][0], e) from e
+    for (row, model, _, te, stats), history in zip(jobs, histories):
         try:
             mae_mm, per_point = evaluate_mae(model, te, stats)
         except ValueError as e:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -610,6 +611,27 @@ def test_run_experiment_parallel_matches_serial(monkeypatch, tmp_path):
         run_experiment(cfg, out_dir=tmp_path / threads)
         for name in ("report.json", "mae_table.csv", "improvement_table.csv", "loss_history.csv"):
             assert (tmp_path / threads / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), (threads, name)
+
+
+def test_rbf_only_sweep_holds_one_cells_training_rows_at_a_time():
+    """Each RBF is ridge-solved in its own cell, so six more cells raise the
+    traced peak of _run_cells by less than three cells' normalised training
+    rows; holding every cell's rows until one fit would add six."""
+    room = {"name": "room", "length_m": 9, "width_m": 7, "test_point_seed": 13, "n_points": 10}
+    cfg = _small_config(seeds=list(range(8)), n_per_point=100, models=["rbf"], environments=[room])
+    train, _ = split(cfg.dataset(cfg.envs[0], 0), cfg.train_fraction)
+    # x and y of both layouts: 6 + 2 and 3 + 2 float64 columns.
+    rows_per_cell = train.n * 13 * 8
+    _run_cells(cfg, [(0, 0)])  # warm-up: first-call allocations are not the sweep's
+    peaks = []
+    for n_cells in (2, 8):
+        tracemalloc.start()
+        try:
+            _run_cells(cfg, [(0, seed) for seed in range(n_cells)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 3 * rows_per_cell, (peaks, rows_per_cell)
 
 
 @pytest.mark.parametrize("lr", [2.0, 10.0])
