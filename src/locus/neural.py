@@ -501,25 +501,25 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT) -> list[np.ndarray]:
+def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT):
     """Fit built models in place, model k on rows xs[k], ys[k] from seeds[k];
-    returns their loss histories in list order.
+    a generator of (k, loss history), each yielded as soon as model k is fitted.
 
     The models go in groups of one family and row shape, in first-seen order.
     RBF solves each output layer by ridge least squares (the history is that
     one MSE). Each other group trains as stacks of at most STACK_LIMIT models
     (see train), for spec.epochs * ceil(n / spec.batch_size) steps, whose
-    members keep views of the stack's arrays. A divergence raises Diverged
-    with `member` set to the list index of the model at fault.
+    members keep views of the stack's arrays. A stack's histories are views of
+    one (steps, S) array, which fit drops before the next stack trains. A
+    divergence raises Diverged with `member` set to the list index of the model at fault.
     """
     groups = {}
     for k, (model, x) in enumerate(zip(models, xs)):
         groups.setdefault((model.family, np.shape(x)), []).append(k)
-    histories = [None] * len(models)
     for (family, (n, _)), ks in groups.items():
         if family == "rbf":
             for k in ks:
-                histories[k] = np.array([fit_rbf_output(models[k], xs[k], ys[k], ridge=ridge)])
+                yield k, np.array([fit_rbf_output(models[k], xs[k], ys[k], ridge=ridge)])
             continue
         steps = spec.epochs * math.ceil(n / spec.batch_size)
         for i in range(0, len(ks), STACK_LIMIT):
@@ -533,8 +533,8 @@ def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT) -> li
                 raise
             for j, k in enumerate(part):
                 models[k].arrays = {name: a[j] for name, a in stack.arrays.items()}
-                histories[k] = history[:, j]
-    return histories
+                yield k, history[:, j]
+            del history
 
 
 def gradient_check(model: Regressor, x, y, h=1e-5) -> float:

@@ -39,7 +39,8 @@ _LAYOUT_OF_WIDTH = {width: layout for layout, width in FEATURE_COLUMNS.items()}
 MODEL_FAMILIES = tuple(neural.FAMILIES)
 REDRAW_CAP = 100
 
-# Keep loss_history.csv bounded: at most about this many rows per run.
+# loss_history.csv keeps every (steps // _HISTORY_ROWS)-th loss of a run, every loss
+# below 800 steps: fewer than 2 * _HISTORY_ROWS rows a run, and at least 400 from 400 up.
 _HISTORY_ROWS = 400
 
 
@@ -601,7 +602,9 @@ def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
                        "untrained_mae_mm": evaluate_mae(model, te, stats)[0]}
                 cell["runs"].append(row)
                 # A ridge solve gains nothing from a stack: solved here, an RBF's job holds no rows.
-                fit = neural.fit([model], [xn], [yn], config.train, [train_seed])[0] if family == "rbf" else (xn, yn, train_seed)
+                fit = (xn, yn, train_seed)
+                if family == "rbf":
+                    [(_, fit)] = neural.fit([model], [xn], [yn], config.train, [train_seed])
                 jobs.append((row, model, fit, te, stats))
     _fit_jobs(config, jobs)
     return results
@@ -610,24 +613,31 @@ def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
 def _fit_jobs(config: ExperimentConfig, jobs):
     """Fill in the rows of jobs (row, model, fit, test split, stats) in job order. A fit is the
     loss history of a model fitted in its cell (an RBF, so an RBF-only sweep holds one cell's
-    rows at a time) or the (x, y, train seed) of a model to train; those go to one neural.fit."""
-    todo = [k for k, job in enumerate(jobs) if isinstance(job[2], tuple)]
-    histories = [job[2] for job in jobs]
+    rows at a time) or the (x, y, train seed) of a model to train; those go to one neural.fit.
+    Each history is cut to its _loss_log and dropped as neural.fit yields it, so no finished
+    stack's full (steps, S) history is held while the next one trains."""
+    logs = [None if isinstance(job[2], tuple) else _loss_log(job[2]) for job in jobs]
+    todo = [k for k, log in enumerate(logs) if log is None]
     if todo:
         xs, ys, seeds = zip(*(jobs[k][2] for k in todo))
         try:
-            for k, history in zip(todo, neural.fit([jobs[k][1] for k in todo], xs, ys, config.train, seeds)):
-                histories[k] = history
+            for i, history in neural.fit([jobs[k][1] for k in todo], xs, ys, config.train, seeds):
+                logs[todo[i]] = _loss_log(history)
+                del history
         except neural.Diverged as e:
             raise _cell_error(jobs[todo[e.member]][0], e) from e
-    for (row, model, _, te, stats), history in zip(jobs, histories):
+    for (row, model, _, te, stats), log in zip(jobs, logs):
         try:
             mae_mm, per_point = evaluate_mae(model, te, stats)
         except ValueError as e:
             raise _cell_error(row, e) from e
-        stride = max(1, history.size // _HISTORY_ROWS)
-        row.update(mae_mm=mae_mm, final_loss=float(history[-1]), steps=int(history.size), per_point_mae_mm=per_point,
-                   loss_history=[[int(s), float(history[s])] for s in range(0, history.size, stride)])
+        row.update(mae_mm=mae_mm, **log, per_point_mae_mm=per_point)
+
+
+def _loss_log(history) -> dict:
+    """A run's final loss, step count and, as one float array, the losses loss_history.csv writes."""
+    stride = max(1, history.size // _HISTORY_ROWS)
+    return {"final_loss": float(history[-1]), "steps": int(history.size), "loss_history": history[::stride].copy()}
 
 
 def _cell_error(row, e: Exception) -> ValueError:
@@ -718,8 +728,10 @@ def _round6(obj):
 def write_report_files(report: dict, runs_with_history: list, config: ExperimentConfig, out_dir):
     """report.json plus mae/improvement tables and the training loss log.
 
-    Every file's text is built before the first one is opened, so a report
-    that holds NaN raises and leaves an earlier report.json whole.
+    The texts of report.json, the only one that can raise (on NaN), and of the
+    tables are built before any file is opened, so a report that holds NaN
+    leaves an earlier report.json whole. loss_history.csv is written last, run
+    by run, from each row's loss array (see _loss_log).
     """
     texts = {"report.json": json.dumps(_round6(report), indent=2, sort_keys=True, allow_nan=False) + "\n"}
     tables = {"mae_table.csv": ([f"{f}_{l}" for f in config.models for l in config.layouts], report["mae_table_mm"])}
@@ -728,13 +740,12 @@ def write_report_files(report: dict, runs_with_history: list, config: Experiment
     for name, (cols, table) in tables.items():
         rows = [env + "," + ",".join(f"{row[c]:.6f}" for c in cols) for env, row in table.items()]
         texts[name] = "\n".join(["environment," + ",".join(cols), *rows]) + "\n"
-    rows = [
-        f"{r['environment']},{r['layout']},{r['model']},{r['seed']},{step},{loss:.6f}"
-        for r in runs_with_history
-        for step, loss in r["loss_history"]
-    ]
-    texts["loss_history.csv"] = "\n".join(["environment,layout,model,seed,step,loss", *rows]) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     for name, text in texts.items():
         with open(os.path.join(out_dir, name), "w") as f:
             f.write(text)
+    with open(os.path.join(out_dir, "loss_history.csv"), "w") as f:
+        f.write("environment,layout,model,seed,step,loss\n")
+        for r in runs_with_history:
+            key, stride = f"{r['environment']},{r['layout']},{r['model']},{r['seed']}", max(1, r["steps"] // _HISTORY_ROWS)
+            f.write("".join(f"{key},{j * stride},{loss:.6f}\n" for j, loss in enumerate(r["loss_history"].tolist())))

@@ -547,11 +547,11 @@ def test_build_and_fit_recipes():
     rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
     assert rbf.arrays["centers"].shape == (7, 6)  # k = min(centers, n)
     ref = RbfModel(rbf.arrays)
-    (history,) = neural.fit([rbf], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0], ridge=1e-3)
+    [(_, history)] = neural.fit([rbf], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0], ridge=1e-3)
     assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
     assert np.array_equal(rbf.arrays["w_out"], ref.arrays["w_out"])
     mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
-    (history,) = neural.fit([mlp], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0])
+    [(_, history)] = neural.fit([mlp], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0])
     assert history.size == 3 * math.ceil(7 / 2)
     with pytest.raises(ValueError, match="unknown model family"):
         neural.build("svm", x, seed=0, rbf_centers=40)
@@ -587,9 +587,10 @@ def test_fit_trains_a_list_as_one_stack():
     spec = TrainSpec(learning_rate=0.05, batch_size=8, epochs=2)
     data = [_data(20, 6, seed=60 + i) for i in range(3)]
     alone = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
-    want = [neural.fit([m], [x], [y], spec, [70 + i])[0] for i, (m, (x, y)) in enumerate(zip(alone, data))]
+    want = [h for i, (m, (x, y)) in enumerate(zip(alone, data)) for _, h in neural.fit([m], [x], [y], spec, [70 + i])]
     models = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
-    got = neural.fit(models, [x for x, _ in data], [y for _, y in data], spec, [70, 71, 72])
+    fitted = dict(neural.fit(models, [x for x, _ in data], [y for _, y in data], spec, [70, 71, 72]))
+    got = [fitted[k] for k in range(len(models))]
     for m, ref, h, h_ref in zip(models, alone, got, want):
         assert h.shape == (2 * 3,) and np.array_equal(h, h_ref)
         assert model_to_dict(m) == model_to_dict(ref)
@@ -600,9 +601,11 @@ def _assert_one_fit_gives_each_model_its_own(jobs, spec):
     gives every model the same history and model file."""
     alone = []
     for k, (m, x, y) in enumerate(jobs()):
-        alone.append((neural.fit([m], [x], [y], spec, [90 + k])[0], model_to_dict(m)))
+        [(_, history)] = neural.fit([m], [x], [y], spec, [90 + k])
+        alone.append((history, model_to_dict(m)))
     models, xs, ys = zip(*jobs())
-    histories = neural.fit(list(models), xs, ys, spec, [90 + k for k in range(len(models))])
+    fitted = dict(neural.fit(list(models), xs, ys, spec, [90 + k for k in range(len(models))]))
+    histories = [fitted[k] for k in range(len(models))]
     for (h_ref, doc_ref), h, m in zip(alone, histories, models, strict=True):
         assert np.array_equal(h, h_ref)
         assert model_to_dict(m) == doc_ref
@@ -648,7 +651,7 @@ def test_fit_names_the_list_index_of_a_model_diverging_in_a_later_stack():
     models = [neural.build("mlp", x, seed=0, rbf_centers=4) for _ in range(n)]
     ys = [y * 1e4 if k == bad else y for k in range(n)]
     with pytest.raises(neural.Diverged, match="^mlp training diverged") as e:
-        neural.fit(models, [x] * n, ys, spec, [0] * n)
+        list(neural.fit(models, [x] * n, ys, spec, [0] * n))
     assert e.value.member == bad
 
 

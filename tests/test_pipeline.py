@@ -2,12 +2,14 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locus import neural, pipeline
 from locus.channel import NlosModel, PathLossParams, expected_rssi
 from locus.environment import Point2D, make_environment, standard_environment, true_aoa, true_distance
 from locus.pipeline import (
@@ -632,6 +634,45 @@ def test_rbf_only_sweep_holds_one_cells_training_rows_at_a_time():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 3 * rows_per_cell, (peaks, rows_per_cell)
+
+
+def test_sweep_drops_each_stacks_full_loss_history_before_the_next_trains(monkeypatch):
+    """Stacks of one: when a stack starts, the (steps, S) loss histories of
+    every earlier stack are gone."""
+    monkeypatch.setattr(neural, "STACK_LIMIT", 1)
+    histories = []
+    real_train = neural.train
+
+    def tracking_train(model, *args):
+        dead = [ref() is None for ref in histories]
+        assert all(dead), f"stack {len(histories)} starts with stack {dead.index(False)}'s history alive"
+        result = real_train(model, *args)
+        histories.append(weakref.ref(result.loss_history))
+        return result
+
+    monkeypatch.setattr(neural, "train", tracking_train)
+    cfg = _small_config(models=["mlp", "cnn"], seeds=[0], train={"learning_rate": 0.02, "batch_size": 16, "epochs": 2})
+    run_experiment(cfg)
+    assert len(histories) == 8  # 2 rooms x 2 layouts x 2 families
+
+
+def test_report_writer_streams_the_loss_log(monkeypatch, tmp_path):
+    """The writer's traced peak stays below the size of the loss_history.csv it
+    writes: the log is written run by run, never held whole as text."""
+    calls = []
+    monkeypatch.setattr(pipeline, "write_report_files", lambda *args: calls.append(args))
+    room = {"name": "roomA", "length_m": 10, "width_m": 8, "test_point_seed": 1, "n_points": 4}
+    cfg = _small_config(models=["mlp", "cnn"], environments=[room], train={"learning_rate": 0.02, "batch_size": 16, "epochs": 200})
+    run_experiment(cfg, out_dir=tmp_path)
+    [(report, runs, config, _)] = calls
+    tracemalloc.start()
+    try:
+        write_report_files(report, runs, config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "loss_history.csv").stat().st_size
+    assert peak < size, (peak, size)
 
 
 @pytest.mark.parametrize("lr", [2.0, 10.0])
