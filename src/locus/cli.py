@@ -256,7 +256,7 @@ def _cmd_train(args):
     xn = stats.normalize_features(train_ds.features)
     yn = stats.normalize_targets(train_ds.targets)
     model = neural.build(args.model, xn, args.seed, args.rbf_centers)
-    [(_, history)] = neural.fit([model], [xn], [yn], spec, [args.seed], ridge=args.ridge)
+    [(_, history)] = neural.fit([(model, xn, yn, args.seed)], spec, ridge=args.ridge)
     try:
         train_mae, test_mae = (evaluate_mae(model, part, stats)[0] for part in (train_ds, test_ds))
     except ValueError as e:

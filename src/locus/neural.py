@@ -59,7 +59,7 @@ def _xavier(rng, fan_in, fan_out, shape):
 class Diverged(ValueError):
     """A non-finite batch loss in train(); `member` is the stack index of the
     first model at fault at the earliest such step (0 for a plain model), or
-    its list index when raised by fit()."""
+    its job index when raised by fit()."""
 
     member = 0
 
@@ -501,40 +501,48 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def fit(models: list, xs, ys, spec: TrainSpec, seeds, ridge=RIDGE_DEFAULT):
-    """Fit built models in place, model k on rows xs[k], ys[k] from seeds[k];
-    a generator of (k, loss history), each yielded as soon as model k is fitted.
+def fit(jobs, spec: TrainSpec, ridge=RIDGE_DEFAULT):
+    """Fit built models in place from one iterable of (model, x, y, seed) jobs;
+    a generator of (job index, loss history), each yielded as soon as that model is fitted.
 
-    The models go in groups of one family and row shape, in first-seen order.
-    RBF solves each output layer by ridge least squares (the history is that
-    one MSE). Each other group trains as stacks of at most STACK_LIMIT models
-    (see train), for spec.epochs * ceil(n / spec.batch_size) steps, whose
-    members keep views of the stack's arrays. A stack's histories are views of
-    one (steps, S) array, which fit drops before the next stack trains. A
-    divergence raises Diverged with `member` set to the list index of the model at fault.
+    An RBF's output layer is ridge-solved as its job arrives (the history is that
+    one MSE). Every other model waits in its group of one family and row shape,
+    which trains as one stack (see train) for spec.epochs * ceil(n / spec.batch_size)
+    steps as soon as it holds STACK_LIMIT models; groups still waiting when the jobs
+    run out train last, in first-seen order. Members keep views of their stack's
+    arrays; its histories, views of one (steps, S) array, go before the next stack
+    trains. A divergence raises Diverged with `member` set to the job index of the
+    model at fault; a full stack trains before later jobs are drawn, so of two
+    diverging models in different stacks, the one whose stack trains first is named.
     """
     groups = {}
-    for k, (model, x) in enumerate(zip(models, xs)):
-        groups.setdefault((model.family, np.shape(x)), []).append(k)
-    for (family, (n, _)), ks in groups.items():
-        if family == "rbf":
-            for k in ks:
-                yield k, np.array([fit_rbf_output(models[k], xs[k], ys[k], ridge=ridge)])
+    for k, (model, x, y, seed) in enumerate(jobs):
+        if model.family == "rbf":
+            yield k, np.array([fit_rbf_output(model, x, y, ridge=ridge)])
             continue
-        steps = spec.epochs * math.ceil(n / spec.batch_size)
-        for i in range(0, len(ks), STACK_LIMIT):
-            part = ks[i : i + STACK_LIMIT]
-            stack = type(models[part[0]]).stack([models[k] for k in part])
-            x, y = (np.stack([rows[k] for k in part]) for rows in (xs, ys))
-            try:
-                history = train(stack, x, y, spec, steps, [seeds[k] for k in part]).loss_history
-            except Diverged as e:
-                e.member = part[e.member]
-                raise
-            for j, k in enumerate(part):
-                models[k].arrays = {name: a[j] for name, a in stack.arrays.items()}
-                yield k, history[:, j]
-            del history
+        group = groups.setdefault((model.family, np.shape(x)), [])
+        group.append((k, model, x, y, seed))
+        if len(group) == STACK_LIMIT:
+            yield from _train_stack(group, spec)
+            group.clear()
+    for group in groups.values():
+        if group:
+            yield from _train_stack(group, spec)
+
+
+def _train_stack(group: list, spec: TrainSpec):
+    """Train fit's (job index, model, x, y, seed) jobs of one group as one stack; yield each (job index, history)."""
+    ks, models, xs, ys, seeds = zip(*group)
+    stack = type(models[0]).stack(models)
+    steps = spec.epochs * math.ceil(len(xs[0]) / spec.batch_size)
+    try:
+        history = train(stack, np.stack(xs), np.stack(ys), spec, steps, seeds).loss_history
+    except Diverged as e:
+        e.member = ks[e.member]
+        raise
+    for j, (k, model) in enumerate(zip(ks, models)):
+        model.arrays = {name: a[j] for name, a in stack.arrays.items()}
+        yield k, history[:, j]
 
 
 def gradient_check(model: Regressor, x, y, h=1e-5) -> float:

@@ -521,7 +521,10 @@ def _env_spec(doc, where: str, shared: dict) -> EnvSpec:
         built["params"] = path_loss_from_dict(room.pop("path_loss"), f"{where}.path_loss")
     built["nlos"] = read_section(NlosModel, room.pop("nlos", {}), f"{where}.nlos.")
     if "anchors" in room:
-        return EnvSpec(read_section(Environment, room, where + "."), **built)
+        env = read_section(Environment, room, where + ".")
+        if not env.test_points:
+            raise ValueError(f"{where}.test_points must hold at least one point, got []")
+        return EnvSpec(env, **built)
     grid = read_section(GridRoom, room, where + ".")
     try:
         env = grid.environment()
@@ -575,9 +578,26 @@ def cell_seeds(seed: int, env_idx: int, n_models: int) -> tuple[int, int, list[t
 
 
 def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
-    """The (environment index, seed) cells, in order: each cell's dataset,
-    split, baselines, built models and RBF ridge solves, then _fit_jobs."""
-    results, jobs = [], []
+    """The (environment index, seed) cells' results, in order. Their jobs stream into one neural.fit; each
+    run is scored and cut to its _loss_log as it is fitted, then its model, test split and history go."""
+    results, runs = [], []
+    try:
+        for k, history in neural.fit(_cell_jobs(config, cells, results, runs), config.train):
+            (row, model, te, stats), runs[k] = runs[k], None
+            try:
+                mae_mm, per_point = evaluate_mae(model, te, stats)
+            except ValueError as e:
+                raise _cell_error(row, e) from e
+            row.update(mae_mm=mae_mm, **_loss_log(history), per_point_mae_mm=per_point)
+            del history
+    except neural.Diverged as e:
+        raise _cell_error(runs[e.member][0], e) from e
+    return results
+
+
+def _cell_jobs(config: ExperimentConfig, cells, results: list, runs: list):
+    """Each cell's dataset, split, baselines and models, drawn as neural.fit asks for its (model, x, y,
+    train seed) jobs. Each cell's dict goes on results, each run's (row, model, test split, stats) on runs."""
     for env_idx, seed in cells:
         spec = config.envs[env_idx]
         dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
@@ -601,37 +621,8 @@ def _run_cells(config: ExperimentConfig, cells) -> list[dict]:
                 row = {"environment": spec.env.name, "seed": seed, "layout": layout, "model": family,
                        "untrained_mae_mm": evaluate_mae(model, te, stats)[0]}
                 cell["runs"].append(row)
-                # A ridge solve gains nothing from a stack: solved here, an RBF's job holds no rows.
-                fit = (xn, yn, train_seed)
-                if family == "rbf":
-                    [(_, fit)] = neural.fit([model], [xn], [yn], config.train, [train_seed])
-                jobs.append((row, model, fit, te, stats))
-    _fit_jobs(config, jobs)
-    return results
-
-
-def _fit_jobs(config: ExperimentConfig, jobs):
-    """Fill in the rows of jobs (row, model, fit, test split, stats) in job order. A fit is the
-    loss history of a model fitted in its cell (an RBF, so an RBF-only sweep holds one cell's
-    rows at a time) or the (x, y, train seed) of a model to train; those go to one neural.fit.
-    Each history is cut to its _loss_log and dropped as neural.fit yields it, so no finished
-    stack's full (steps, S) history is held while the next one trains."""
-    logs = [None if isinstance(job[2], tuple) else _loss_log(job[2]) for job in jobs]
-    todo = [k for k, log in enumerate(logs) if log is None]
-    if todo:
-        xs, ys, seeds = zip(*(jobs[k][2] for k in todo))
-        try:
-            for i, history in neural.fit([jobs[k][1] for k in todo], xs, ys, config.train, seeds):
-                logs[todo[i]] = _loss_log(history)
-                del history
-        except neural.Diverged as e:
-            raise _cell_error(jobs[todo[e.member]][0], e) from e
-    for (row, model, _, te, stats), log in zip(jobs, logs):
-        try:
-            mae_mm, per_point = evaluate_mae(model, te, stats)
-        except ValueError as e:
-            raise _cell_error(row, e) from e
-        row.update(mae_mm=mae_mm, **log, per_point_mae_mm=per_point)
+                runs.append((row, model, te, stats))
+                yield model, xn, yn, train_seed
 
 
 def _loss_log(history) -> dict:
@@ -711,7 +702,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         "total_rejects": int(sum(c["rejects"] for c in cell_results)),
     }
     if out_dir is not None:
-        write_report_files(report, runs, config, out_dir)
+        write_report_files(report, runs, out_dir)
     return report
 
 
@@ -725,21 +716,21 @@ def _round6(obj):
     return obj
 
 
-def write_report_files(report: dict, runs_with_history: list, config: ExperimentConfig, out_dir):
+def write_report_files(report: dict, runs_with_history: list, out_dir):
     """report.json plus mae/improvement tables and the training loss log.
 
-    The texts of report.json, the only one that can raise (on NaN), and of the
-    tables are built before any file is opened, so a report that holds NaN
-    leaves an earlier report.json whole. loss_history.csv is written last, run
-    by run, from each row's loss array (see _loss_log).
+    A table's columns are the keys of its rows, in the order run_experiment
+    put them there. The texts of report.json, the only one that can raise (on
+    NaN), and of the tables are built before any file is opened, so a report
+    that holds NaN leaves an earlier report.json whole. loss_history.csv is
+    written last, run by run, from each row's loss array (see _loss_log).
     """
     texts = {"report.json": json.dumps(_round6(report), indent=2, sort_keys=True, allow_nan=False) + "\n"}
-    tables = {"mae_table.csv": ([f"{f}_{l}" for f in config.models for l in config.layouts], report["mae_table_mm"])}
-    if report["improvement_percent"]:
-        tables["improvement_table.csv"] = (config.models, report["improvement_percent"])
-    for name, (cols, table) in tables.items():
-        rows = [env + "," + ",".join(f"{row[c]:.6f}" for c in cols) for env, row in table.items()]
-        texts[name] = "\n".join(["environment," + ",".join(cols), *rows]) + "\n"
+    for name, table in (("mae_table.csv", report["mae_table_mm"]), ("improvement_table.csv", report["improvement_percent"])):
+        if table:  # no improvement table without both layouts
+            cols = list(next(iter(table.values())))
+            rows = [env + "," + ",".join(f"{row[c]:.6f}" for c in cols) for env, row in table.items()]
+            texts[name] = "\n".join(["environment," + ",".join(cols), *rows]) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     for name, text in texts.items():
         with open(os.path.join(out_dir, name), "w") as f:

@@ -280,6 +280,8 @@ BAD_FLAGS = [
      ["error: spacing_wavelengths must be a finite number, got inf"]),
     ("train_inf_learning_rate", ["train", "--data", "{file}", "--model", "rbf", "--out", "{out}",
                                  "--learning-rate", "inf"], 2, ["error: learning_rate must be a finite number, got inf"]),
+    ("dataset_unknown_room", ["simulate", "dataset", "--config", "{file}", "--env-name", "zz", "--out", "{out}"], 2,
+     ["error: environment 'zz' not in config"]),
 ]
 
 
@@ -665,6 +667,16 @@ BAD_CONFIGS = [
     ("layouts-repeated", ("layouts",), ["rssi", "hybrid", "hybrid"],
      "layouts must be a nonempty list of distinct names from ['rssi', 'hybrid'], got ['rssi', 'hybrid', 'hybrid']"),
     ("learning_rate_zero", ("train", "learning_rate"), 0, "train.learning_rate must be above 0, got 0.0"),
+    ("seeds-number", ("seeds",), 3, "seeds must be a list, got 3"),
+    ("aoa_mode", ("aoa_mode",), "fancy", "aoa_mode must be 'fast' or 'music'"),
+    ("path_loss-one-entry", ("path_loss",), [{"gamma": 2.5, "sigma": 3.0, "p_r_d0": -40.0}],
+     "path_loss needs 3 entries, one per anchor, got 1"),
+    ("environments-number", ("environments",), 5, "environments must be a list of rooms, got 5"),
+    ("room-without-test-points", ("environments", 0), {
+        "name": "roomA", "length_m": 10, "width_m": 8, "test_points": [],
+        "anchors": [{"id": 1, "x": 0, "y": 0, "sx": 1, "sy": 1}, {"id": 2, "x": 10, "y": 0, "sx": 1, "sy": -1},
+                    {"id": 3, "x": 0, "y": 8, "sx": -1, "sy": -1}]},
+     "environments[0].test_points must hold at least one point, got []"),
 ]
 
 
@@ -718,6 +730,16 @@ def test_config_refuses_a_repeated_room_name(capsys, tmp_path, monkeypatch, comm
     assert stdout == ""
     assert err == "locus: error: environments[1].name 'A' repeats environments[0].name\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "simulate dataset"])
+def test_config_must_be_a_json_object(capsys, tmp_path, command):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    argv = {"report": ["report"], "simulate dataset": ["simulate", "dataset", "--env-name", "roomA"]}[command]
+    code, stdout, err = _run(capsys, [*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert (code, stdout, err) == (2, "", "locus: error: the config must be a JSON object, got [1, 2]\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_snapshots_refuses_an_angle_outside_the_field_of_view(capsys, tmp_path):
@@ -787,6 +809,7 @@ BAD_MODELS = [
     ("list_norm", ("norm",), [1], ["norm must be a JSON object, got [1]"]),
     ("unknown_norm_key", ("norm", "scale"), 2.0, ["unknown norm key 'scale'"]),
     ("null_norm", ("norm",), None, ["error: norm must be a JSON object, got None"]),
+    ("version", ("version",), 2, ["error: unsupported model version 2"]),
 ]
 
 
@@ -835,6 +858,11 @@ BAD_DATASETS = [
     ("fractional_rejects", ("rejects",), 1.5, ["error: rejects must be an integer, got 1.5"]),
     ("empty_samples", ("samples",), [], ["error: samples must be a nonempty list, got []"]),
     ("number_samples", ("samples",), 5, ["error: samples must be a nonempty list, got 5"]),
+    ("version", ("version",), 2, ["error: not a recognized dataset document"]),
+    ("aoa_layout", ("layout",), "aoa", ["error: layout must be one of"]),
+    ("deleted_sample", ("samples", 0), _DELETE, ["error: every test point must contribute the same sample count"]),
+    ("deleted_anchor", ("environment", "anchors", 2), _DELETE, ["anchors must hold exactly 3 anchors, got 2"]),
+    ("shared_anchor_position", ("environment", "anchors", 1, "x"), 0.0, ["pairwise distinct positions"]),
 ]
 
 

@@ -547,11 +547,11 @@ def test_build_and_fit_recipes():
     rbf = neural.build("rbf", x, seed=0, rbf_centers=40)
     assert rbf.arrays["centers"].shape == (7, 6)  # k = min(centers, n)
     ref = RbfModel(rbf.arrays)
-    [(_, history)] = neural.fit([rbf], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0], ridge=1e-3)
+    [(_, history)] = neural.fit([(rbf, x, y, 0)], neural.TrainSpec(0.1, 2, 3), ridge=1e-3)
     assert history.tolist() == [fit_rbf_output(ref, x, y, ridge=1e-3)]
     assert np.array_equal(rbf.arrays["w_out"], ref.arrays["w_out"])
     mlp = neural.build("mlp", x, seed=0, rbf_centers=40)
-    [(_, history)] = neural.fit([mlp], [x], [y], neural.TrainSpec(0.1, 2, 3), seeds=[0])
+    [(_, history)] = neural.fit([(mlp, x, y, 0)], neural.TrainSpec(0.1, 2, 3))
     assert history.size == 3 * math.ceil(7 / 2)
     with pytest.raises(ValueError, match="unknown model family"):
         neural.build("svm", x, seed=0, rbf_centers=40)
@@ -587,9 +587,9 @@ def test_fit_trains_a_list_as_one_stack():
     spec = TrainSpec(learning_rate=0.05, batch_size=8, epochs=2)
     data = [_data(20, 6, seed=60 + i) for i in range(3)]
     alone = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
-    want = [h for i, (m, (x, y)) in enumerate(zip(alone, data)) for _, h in neural.fit([m], [x], [y], spec, [70 + i])]
+    want = [h for i, (m, (x, y)) in enumerate(zip(alone, data)) for _, h in neural.fit([(m, x, y, 70 + i)], spec)]
     models = [neural.build("cnn", x, seed=i, rbf_centers=4) for i, (x, _) in enumerate(data)]
-    fitted = dict(neural.fit(models, [x for x, _ in data], [y for _, y in data], spec, [70, 71, 72]))
+    fitted = dict(neural.fit([(m, x, y, 70 + i) for i, (m, (x, y)) in enumerate(zip(models, data))], spec))
     got = [fitted[k] for k in range(len(models))]
     for m, ref, h, h_ref in zip(models, alone, got, want):
         assert h.shape == (2 * 3,) and np.array_equal(h, h_ref)
@@ -601,12 +601,12 @@ def _assert_one_fit_gives_each_model_its_own(jobs, spec):
     gives every model the same history and model file."""
     alone = []
     for k, (m, x, y) in enumerate(jobs()):
-        [(_, history)] = neural.fit([m], [x], [y], spec, [90 + k])
+        [(_, history)] = neural.fit([(m, x, y, 90 + k)], spec)
         alone.append((history, model_to_dict(m)))
-    models, xs, ys = zip(*jobs())
-    fitted = dict(neural.fit(list(models), xs, ys, spec, [90 + k for k in range(len(models))]))
-    histories = [fitted[k] for k in range(len(models))]
-    for (h_ref, doc_ref), h, m in zip(alone, histories, models, strict=True):
+    built = list(jobs())
+    fitted = dict(neural.fit([(m, x, y, 90 + k) for k, (m, x, y) in enumerate(built)], spec))
+    histories = [fitted[k] for k in range(len(built))]
+    for (h_ref, doc_ref), h, (m, _, _) in zip(alone, histories, built, strict=True):
         assert np.array_equal(h, h_ref)
         assert model_to_dict(m) == doc_ref
 
@@ -641,6 +641,29 @@ def test_fit_trains_a_long_group_in_stacks_of_at_most_stack_limit(monkeypatch):
     assert stacks == [(1,)] * (neural.STACK_LIMIT + 2) + [(neural.STACK_LIMIT,), (2,)]
 
 
+def test_fit_trains_each_stack_once_full_before_drawing_later_jobs(monkeypatch):
+    """Stacks of two: a group's stack trains as soon as its second job is
+    drawn, and the group left when the jobs run out trains last."""
+    monkeypatch.setattr(neural, "STACK_LIMIT", 2)
+    drawn, stacks = [], []
+    real_train = neural.train
+
+    def recording_train(model, *args):
+        stacks.append((len(drawn), model.lead))
+        return real_train(model, *args)
+
+    def jobs():
+        for k in range(5):
+            x, y = _data(20, 6, seed=110 + k)
+            drawn.append(k)
+            yield neural.build("mlp", x, seed=k, rbf_centers=4), x, y, k
+
+    monkeypatch.setattr(neural, "train", recording_train)
+    fitted = [k for k, _ in neural.fit(jobs(), TrainSpec(learning_rate=0.05, batch_size=8, epochs=1))]
+    assert stacks == [(2, (2,)), (4, (2,)), (5, (1,))]
+    assert fitted == [0, 1, 2, 3, 4]
+
+
 def test_fit_names_the_list_index_of_a_model_diverging_in_a_later_stack():
     """Targets scaled by 1e4 diverge at this rate, and unscaled ones do not
     (see the stack divergence test below); the bad model is member 1 of the
@@ -651,7 +674,7 @@ def test_fit_names_the_list_index_of_a_model_diverging_in_a_later_stack():
     models = [neural.build("mlp", x, seed=0, rbf_centers=4) for _ in range(n)]
     ys = [y * 1e4 if k == bad else y for k in range(n)]
     with pytest.raises(neural.Diverged, match="^mlp training diverged") as e:
-        list(neural.fit(models, [x] * n, ys, spec, [0] * n))
+        list(neural.fit([(m, x, t, 0) for m, t in zip(models, ys)], spec))
     assert e.value.member == bad
 
 

@@ -574,20 +574,19 @@ def test_run_experiment_structure_and_tables(tmp_path):
 
 
 def test_report_json_refuses_nan(tmp_path):
-    cfg = _small_config()
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_report_files({"total_rejects": float("nan")}, [], cfg, tmp_path)
+        write_report_files({"total_rejects": float("nan")}, [], tmp_path)
 
 
 def test_report_with_nan_leaves_an_earlier_report_whole(tmp_path):
     cfg = _small_config()
     row = {f"{m}_{l}": 1.0 for m in cfg.models for l in cfg.layouts}
     report = {"total_rejects": 3, "mae_table_mm": {"roomA": row}, "improvement_percent": {}}
-    write_report_files(report, [], cfg, tmp_path)
+    write_report_files(report, [], tmp_path)
     before = (tmp_path / "report.json").read_bytes()
     bad = {**report, "mae_table_mm": {"roomA": {**row, "mlp_rssi": float("nan")}}, "total_rejects": 4}
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_report_files(bad, [], cfg, tmp_path)
+        write_report_files(bad, [], tmp_path)
     assert (tmp_path / "report.json").read_bytes() == before
 
 
@@ -636,6 +635,30 @@ def test_rbf_only_sweep_holds_one_cells_training_rows_at_a_time():
     assert peaks[1] - peaks[0] < 3 * rows_per_cell, (peaks, rows_per_cell)
 
 
+def test_sgd_sweep_holds_a_stacks_training_rows_only_until_it_trains(monkeypatch):
+    """Stacks of two: each layout's stack trains as soon as two cells have
+    drawn, so six more cells raise the traced peak of _run_cells by less than
+    three cells' normalised training rows; holding every cell's rows until
+    the jobs run out would add six."""
+    monkeypatch.setattr(neural, "STACK_LIMIT", 2)
+    room = {"name": "room", "length_m": 9, "width_m": 7, "test_point_seed": 13, "n_points": 10}
+    cfg = _small_config(seeds=list(range(8)), n_per_point=100, models=["mlp"], environments=[room],
+                        train={"learning_rate": 0.02, "batch_size": 32, "epochs": 1})
+    train, _ = split(cfg.dataset(cfg.envs[0], 0), cfg.train_fraction)
+    # x and y of both layouts: 6 + 2 and 3 + 2 float64 columns.
+    rows_per_cell = train.n * 13 * 8
+    _run_cells(cfg, [(0, 0), (0, 1)])  # warm-up: first-call allocations are not the sweep's
+    peaks = []
+    for n_cells in (2, 8):
+        tracemalloc.start()
+        try:
+            _run_cells(cfg, [(0, seed) for seed in range(n_cells)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 3 * rows_per_cell, (peaks, rows_per_cell)
+
+
 def test_sweep_drops_each_stacks_full_loss_history_before_the_next_trains(monkeypatch):
     """Stacks of one: when a stack starts, the (steps, S) loss histories of
     every earlier stack are gone."""
@@ -664,10 +687,10 @@ def test_report_writer_streams_the_loss_log(monkeypatch, tmp_path):
     room = {"name": "roomA", "length_m": 10, "width_m": 8, "test_point_seed": 1, "n_points": 4}
     cfg = _small_config(models=["mlp", "cnn"], environments=[room], train={"learning_rate": 0.02, "batch_size": 16, "epochs": 200})
     run_experiment(cfg, out_dir=tmp_path)
-    [(report, runs, config, _)] = calls
+    [(report, runs, _)] = calls
     tracemalloc.start()
     try:
-        write_report_files(report, runs, config, tmp_path)
+        write_report_files(report, runs, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
