@@ -166,12 +166,18 @@ def expected_rssi(params: PathLossParams, d: float) -> float:
         raise ValueError(f"distance must be a finite number, got {d}")
     if d < params.d0:
         raise ValueError(f"distance {d} below reference distance {params.d0}")
-    return params.p_r_d0 - 10.0 * params.gamma * math.log10(d / params.d0)
+    mean = params.p_r_d0 - 10.0 * params.gamma * math.log10(d / params.d0)
+    if not math.isfinite(mean):
+        raise ValueError(f"gamma {params.gamma} gives a non-finite mean RSSI at distance {d}")
+    return mean
 
 
 def simulate_rssi(params: PathLossParams, d: float, rng: np.random.Generator) -> float:
     """One shadowed RSSI draw: expected value minus Normal(0, sigma^2)."""
-    return expected_rssi(params, d) - rng.normal(0.0, params.sigma)
+    rssi = expected_rssi(params, d) - rng.normal(0.0, params.sigma)
+    if not math.isfinite(rssi):
+        raise ValueError(f"sigma {params.sigma} gives a non-finite RSSI draw at distance {d}")
+    return rssi
 
 
 @dataclass(frozen=True)
@@ -223,6 +229,14 @@ def steering_matrix(array: ArraySpec, thetas_deg: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * array.spacing_wavelengths * n * s)
 
 
+def noise_power(noise_power_db: float) -> float:
+    """10 ** (noise_power_db / 10): 0 at -inf, NaN for NaN and inf past the float range."""
+    try:
+        return 10.0 ** (noise_power_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def simulate_snapshots(
     array: ArraySpec,
     thetas_deg: list[float],
@@ -233,20 +247,21 @@ def simulate_snapshots(
 
     Each source, at a broadside angle in [-90, 90] degrees, emits an independent
     unit-power complex Gaussian symbol per snapshot. noise_power_db = -inf gives
-    noiseless data; NaN is refused. Requires 1 <= K < m.
+    noiseless data; NaN, +inf and a power past the float range are refused.
+    Requires 1 <= K < m.
     """
     for theta in thetas_deg:
         if not -90.0 <= theta <= 90.0:
             raise ValueError(f"source angle must lie in [-90, 90] deg, got {theta}")
-    if math.isnan(noise_power_db):
-        raise ValueError("noise_power_db must be a number or -inf, got nan")
+    npow = noise_power(noise_power_db)
+    if not npow < math.inf:
+        raise ValueError(f"noise_power_db must be -inf or a number whose power is a finite float, got {noise_power_db}")
     k = len(thetas_deg)
     if k < 1 or k >= array.m:
         raise ValueError(f"need 1 <= sources < {array.m} sensors, got {k}")
     t = array.snapshots
     a = steering_matrix(array, thetas_deg)
     # -inf dB maps to exactly zero power (noiseless flag).
-    npow = 10.0 ** (noise_power_db / 10.0)
     m = array.m if npow > 0.0 else 0
     # One draw in the order symbol re, symbol im, noise re, noise im: the
     # generator fills the block row by row, so the stream is that of four draws.

@@ -27,10 +27,10 @@ from .pipeline import (
     NormStats,
     SplitSpec,
     UsageError,
-    _round6,
     dataset_from_dict,
     dataset_to_dict,
     evaluate_mae,
+    json_text,
     load_config,
     path_loss_from_dict,
     run_experiment,
@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(obj):
-    print(json.dumps(_round6(obj), indent=2, sort_keys=True, allow_nan=False))
+    print(json_text(obj))
 
 
 def _read_json(path):
@@ -58,9 +58,9 @@ def _read_json(path):
 
 
 def _write_json(path, obj):
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def _floats(text, what, n=None):

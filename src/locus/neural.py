@@ -89,8 +89,9 @@ class Regressor:
     the `arch` block of the model file and the shape of every array, all
     derived from the shapes of a few of them. The constructor checks the
     arrays against that layout and for finiteness, naming the bad array.
-    Training moves only the arrays that loss_and_gradients returns a gradient
-    for, so an RBF's centers and widths never move.
+    Its math is _forward(x), its cached activations with the output last, and
+    _backward(cache, delta), a gradient per array that training moves (so never
+    an RBF's centers or widths); prediction and the MSE loss are written here.
 
     Regressor.stack(models) holds S models of one shape as one, each array
     with a leading stack axis (lead = (S,)); its batches are (S, n, d) and its
@@ -129,12 +130,14 @@ class Regressor:
         return self._layout(self.arrays)[1]
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._forward(self._check_batch(x))[-1]
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
         """(batch MSE, gradient per trainable array name) of a batch that
         train() or gradient_check() has already passed through _check_batch."""
-        raise NotImplementedError
+        cache = self._forward(x)
+        loss, delta = _mse_and_delta(cache[-1], y)
+        return loss, self._backward(cache, delta)
 
     def _check_batch(self, x, y=None):
         x = np.asarray(x, dtype=float)
@@ -169,27 +172,23 @@ class MlpModel(Regressor):
         return p[0::2], p[1::2]
 
     def _forward(self, x):
-        """The input and hidden activations, and the output."""
+        """The input and hidden activations, then the output."""
         weights, biases = self._layers()
         acts = [x]
         for w, b in zip(weights[:-1], biases[:-1]):
             acts.append(np.tanh(acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]))
-        return acts, acts[-1] @ weights[-1].swapaxes(-1, -2) + biases[-1][..., None, :]
+        acts.append(acts[-1] @ weights[-1].swapaxes(-1, -2) + biases[-1][..., None, :])
+        return acts
 
-    def forward_batch(self, x):
-        return self._forward(self._check_batch(x))[1]
-
-    def loss_and_gradients(self, x, y):
+    def _backward(self, acts, delta):
         weights = self._layers()[0]
-        acts, out = self._forward(x)
-        loss, delta = _mse_and_delta(out, y)
         grads = {}
         for l in range(len(weights) - 1, -1, -1):
             grads[f"w{l}"] = delta.swapaxes(-1, -2) @ acts[l]
             grads[f"b{l}"] = delta.sum(axis=-2)
             if l > 0:
                 delta = (delta @ weights[l]) * (1.0 - acts[l] ** 2)
-        return loss, grads
+        return grads
 
 
 def make_mlp(input_dim: int, hidden=(32, 32), seed=0) -> MlpModel:
@@ -312,15 +311,12 @@ class RbfModel(Regressor):
         d2 = _sq_dists(x, self.arrays["centers"])
         return np.exp(-d2 / (2.0 * self.arrays["widths"] ** 2))
 
-    def forward_batch(self, x):
-        x = self._check_batch(x)
-        return self._kernels(x) @ self.arrays["w_out"].T + self.arrays["b_out"]
-
-    def loss_and_gradients(self, x, y):
+    def _forward(self, x):
         phi = self._kernels(x)
-        out = phi @ self.arrays["w_out"].T + self.arrays["b_out"]
-        loss, delta = _mse_and_delta(out, y)
-        return loss, {"w_out": delta.T @ phi, "b_out": delta.sum(axis=0)}
+        return phi, phi @ self.arrays["w_out"].T + self.arrays["b_out"]
+
+    def _backward(self, cache, delta):
+        return {"w_out": delta.T @ cache[0], "b_out": delta.sum(axis=0)}
 
 
 def fit_rbf_output(model: RbfModel, x: np.ndarray, y: np.ndarray, ridge=RIDGE_DEFAULT) -> float:
@@ -375,7 +371,7 @@ class CnnModel(Regressor):
                   "w0": (dense, flat), "b0": (dense,), "w1": (2, dense), "b1": (2,)}
         return l2 + 2 * (kw - 1), {"kernel_width": kw, "filters": [f0, f1], "dense_width": dense}, shapes
 
-    def _forward_cached(self, x):
+    def _forward(self, x):
         cw0, cb0, cw1, cb1, w0, b0, w1, b1 = self.arrays.values()
         u0, z1 = _conv1d(x[..., None], cw0, cb0)
         a1 = np.tanh(z1)
@@ -386,13 +382,9 @@ class CnnModel(Regressor):
         out = h1 @ w1.swapaxes(-1, -2) + b1[..., None, :]
         return u0, a1, u1, a2, f, h1, out
 
-    def forward_batch(self, x):
-        return self._forward_cached(self._check_batch(x))[-1]
-
-    def loss_and_gradients(self, x, y):
+    def _backward(self, cache, delta):
         cw0, _, cw1, _, w0, _, w1, _ = self.arrays.values()
-        u0, a1, u1, a2, f, h1, out = self._forward_cached(x)
-        loss, delta = _mse_and_delta(out, y)
+        u0, a1, u1, a2, f, h1, _ = cache
         d_h1 = delta @ w1
         d_f = d_h1 @ w0
         kw1, f0, f1 = cw1.shape[-3:]
@@ -407,7 +399,7 @@ class CnnModel(Regressor):
         for k in range(1, kw1):
             d_a1[..., k : k + l2, :] += d_u1[..., k, :]
         d_z1 = (d_a1 * (1.0 - a1**2)).reshape(*lead, -1, f0)
-        grads = {
+        return {
             "w1": delta.swapaxes(-1, -2) @ h1,
             "b1": delta.sum(axis=-2),
             "w0": d_h1.swapaxes(-1, -2) @ f,
@@ -417,7 +409,6 @@ class CnnModel(Regressor):
             "cw0": (u0.swapaxes(-1, -2) @ d_z1).reshape(cw0.shape),
             "cb0": d_z1.sum(axis=-2),
         }
-        return loss, grads
 
 
 def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, seed=0) -> CnnModel:

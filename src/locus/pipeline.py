@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, _cast, check_bound, expected_rssi, json_form, per_anchor_params, read_section, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, noise_power, per_anchor_params, read_section, simulate_snapshots
 from .environment import Environment, GridRoom, Point2D, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
 from .neural import TrainSpec
@@ -93,6 +93,8 @@ class MusicSpec(ArraySpec):
     def __post_init__(self):
         super().__post_init__()
         grid_size(self.grid_step_deg, "grid_step_deg")
+        if not noise_power(-self.snr_db) < math.inf:
+            raise ValueError(f"snr_db must give a noise power (-snr_db dB) within the float range, got {self.snr_db}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,9 @@ class Dataset:
         width_ok = self.features.ndim == 2 and self.features.shape[1] in _LAYOUT_OF_WIDTH
         if not width_ok or self.point_ids.shape != self.features.shape[:1]:
             raise ValueError(f"features must hold one row of {list(_LAYOUT_OF_WIDTH)} columns per point id")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise ValueError(f"dataset sample {bad[0]}: 'features' must be a list of {self.features.shape[1]} finite numbers")
         points = len(self.env.test_points)
         foreign = np.flatnonzero((self.point_ids < 0) | (self.point_ids >= points))
         if foreign.size:
@@ -203,8 +208,8 @@ def dataset_from_dict(d: dict) -> Dataset:
                 raise ValueError(f"dataset sample {i}: {key!r} must be a list of {out.shape[1]} finite numbers")
             out[i] = row
     env = read_section(Environment, d["environment"], "environment.")
-    seed, rejects = (_cast(d.get(key, 0), int, key) for key in ("seed", "rejects"))
-    ds = Dataset(env, seed, features, point_ids, rejects)
+    counts = {key: d[key] for key in ("seed", "rejects") if key in d}
+    ds = read_section(Dataset, counts, "", env=env, features=features, point_ids=point_ids)
     for i, (target, point) in enumerate(zip(targets.tolist(), ds.targets.tolist())):
         if target != point:
             raise ValueError(f"dataset sample {i}: 'target' {target} is not the position {point} of test point {point_ids[i]}")
@@ -716,6 +721,11 @@ def _round6(obj):
     return obj
 
 
+def json_text(obj) -> str:
+    """The JSON text of report.json and of the CLI's stdout: floats rounded to six decimals, keys sorted, no NaN."""
+    return json.dumps(_round6(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_report_files(report: dict, runs_with_history: list, out_dir):
     """report.json plus mae/improvement tables and the training loss log.
 
@@ -725,7 +735,7 @@ def write_report_files(report: dict, runs_with_history: list, out_dir):
     that holds NaN leaves an earlier report.json whole. loss_history.csv is
     written last, run by run, from each row's loss array (see _loss_log).
     """
-    texts = {"report.json": json.dumps(_round6(report), indent=2, sort_keys=True, allow_nan=False) + "\n"}
+    texts = {"report.json": json_text(report) + "\n"}
     for name, table in (("mae_table.csv", report["mae_table_mm"]), ("improvement_table.csv", report["improvement_percent"])):
         if table:  # no improvement table without both layouts
             cols = list(next(iter(table.values())))

@@ -282,6 +282,16 @@ BAD_FLAGS = [
                                  "--learning-rate", "inf"], 2, ["error: learning_rate must be a finite number, got inf"]),
     ("dataset_unknown_room", ["simulate", "dataset", "--config", "{file}", "--env-name", "zz", "--out", "{out}"], 2,
      ["error: environment 'zz' not in config"]),
+    ("rssi_overflowing_gamma", ["simulate", "rssi", "--gamma", "1e308", "--p-r-d0=-40", "--distances=10"], 2,
+     ["error: gamma 1e+308 gives a non-finite mean RSSI at distance 10.0"]),
+    ("rssi_overflowing_gamma_csv", ["simulate", "rssi", "--gamma", "1e308", "--p-r-d0=-40", "--distances=10",
+                                    "--format", "csv"], 2,
+     ["error: gamma 1e+308 gives a non-finite mean RSSI at distance 10.0"]),
+    ("rssi_overflowing_sigma", ["simulate", "rssi", *GAMMA, "--sigma", "1e308", "--distances=10", "--n", "40"], 2,
+     ["error: sigma 1e+308 gives a non-finite RSSI draw at distance 10.0"]),
+    ("rssi_overflowing_sigma_csv", ["simulate", "rssi", *GAMMA, "--sigma", "1e308", "--distances=10", "--n", "40",
+                                    "--format", "csv"], 2,
+     ["error: sigma 1e+308 gives a non-finite RSSI draw at distance 10.0"]),
 ]
 
 
@@ -647,6 +657,8 @@ BAD_CONFIGS = [
     ("unknown-nlos", ("environments", 0, "nlos", "excess_loss"), 1.0, "environments[0].nlos.excess_loss"),
     ("nan", ("aoa_noise_deg",), math.nan, "aoa_noise_deg"),
     ("infinity", ("music", "snr_db"), math.inf, "music.snr_db"),
+    ("snr_db_noise_overflow", ("music", "snr_db"), -4000,
+     "music.snr_db must give a noise power (-snr_db dB) within the float range, got -4000.0"),
     ("nan-string", ("train", "learning_rate"), "nan", "train.learning_rate"),
     ("nan-nlos", ("environments", 0, "nlos", "excess_loss_db"), math.nan, "environments[0].nlos.excess_loss_db"),
     ("n_per_point", ("n_per_point",), 0, "n_per_point"),
@@ -759,6 +771,45 @@ def test_simulate_snapshots_rejects_nan_snr(capsys, tmp_path):
     assert not out.exists()
     code, _, _ = _run(capsys, argv + ["--snr-db", "inf"])
     assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("snr", ["-inf", "-4000"])
+def test_simulate_snapshots_rejects_an_snr_whose_noise_power_overflows(capsys, tmp_path, snr):
+    out = tmp_path / "snap.csv"
+    code, stdout, err = _run(capsys, ["simulate", "snapshots", "--angles=10", "--snr-db=" + snr, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == f"locus: error: noise_power_db must be -inf or a number whose power is a finite float, got {-float(snr)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "simulate dataset"])
+def test_an_overflowing_path_loss_law_fails_naming_gamma(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, path_loss={"gamma": 1e308, "sigma": 3.0, "p_r_d0": -40.0})
+    argv = {
+        "report": ["report", "--config", cfg, "--out", str(out)],
+        "simulate dataset": ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--out", str(out)],
+    }[command]
+    code, stdout, err = _run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert "error: gamma 1e+308 gives a non-finite mean RSSI at distance" in err, err
+    assert not out.exists()
+
+
+def test_an_overflowing_shadowing_draw_writes_no_dataset(tmp_path):
+    """Run as a child: in-process, the test suite's RuntimeWarning filter would turn
+    the overflow warning of the draw into the failure, with or without the check."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = tmp_path / "ds.json"
+    cfg = _config_file(tmp_path, n_per_point=5, path_loss={"gamma": 2.5, "sigma": 1e308, "p_r_d0": -40.0})
+    proc = subprocess.run(
+        [sys.executable, "-m", "locus.cli", "simulate", "dataset", "--config", cfg, "--env-name", "roomA",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "'features' must be a list of 6 finite numbers" in proc.stderr, proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

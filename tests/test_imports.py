@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is read somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is read somewhere in the package, and no
+module imports another module's private name.
 
 A moved function tends to leave its old imports behind, and a replaced one
 its private helpers; this catches both. `from __future__` imports are exempt.
@@ -74,3 +75,21 @@ def test_no_dead_private_names():
     dead = [f"{name}:{line}: {private} is never read in the package"
             for name, source in sources.items() for line, private in private_definitions(source) if private not in read]
     assert not dead, "\n".join(dead)
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each private name that source imports from a module of the package."""
+    return [(node.lineno, a.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "locus")
+            for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+
+
+def test_private_imports_are_found():
+    source = "from . import neural\nfrom .a import b, _c\nfrom locus.d import _e\nfrom numpy import _f\nfrom .g import __h__\n"
+    assert private_imports(source) == [(2, "_c"), (3, "_e")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    found = private_imports(path.read_text())
+    assert not found, "\n".join(f"{path.name}:{line}: imports the private name {name}" for line, name in found)

@@ -445,6 +445,25 @@ def test_loss_is_mse_over_all_entries():
     assert loss == pytest.approx(np.mean((pred - y) ** 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 20, 45, 320])
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize("family,members", [("mlp", 0), ("rbf", 0), ("cnn", 0), ("mlp", 3), ("cnn", 3)])
+def test_training_loss_has_the_bits_of_the_prediction_mse(family, members, width, n):
+    """The loss that training records is the MSE of what forward_batch predicts,
+    bit for bit, for a plain model and for each member of a stack."""
+    data = [_data(n, width, seed=80 + i) for i in range(max(members, 1))]
+    models = [neural.build(family, x, seed=90 + i, rbf_centers=4) for i, (x, _) in enumerate(data)]
+    if members:
+        model = neural.FAMILIES[family].stack(models)
+        x, y = np.stack([x for x, _ in data]), np.stack([y for _, y in data])
+    else:
+        model, (x, y) = models[0], data[0]
+    loss = np.atleast_1d(model.loss_and_gradients(x, y)[0])
+    pred = model.forward_batch(x).reshape(-1, n, 2)
+    want = np.array([np.mean((p - t) ** 2) for p, t in zip(pred, y.reshape(-1, n, 2))])
+    assert loss.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

@@ -275,6 +275,15 @@ def test_dataset_json_roundtrip():
     assert back.rejects == ds.rejects
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_dataset_refuses_a_non_finite_feature_naming_its_first_sample(bad):
+    ds = generate_dataset(_tiny_env(), PARAMS, NlosModel(1.0, 1.0), 4, layout="rssi", seed=2)
+    features = ds.features.copy()
+    features[[5, 9], 1] = bad
+    with pytest.raises(ValueError, match=r"^dataset sample 5: 'features' must be a list of 3 finite numbers$"):
+        Dataset(ds.env, ds.seed, features, ds.point_ids)
+
+
 # ---------------------------------------------------------------------------
 # split
 
