@@ -150,16 +150,6 @@ class NlosModel:
         check_bound(self, 0, "excess_loss_db", "aoa_bias_deg_sigma")
 
 
-def per_anchor_params(params) -> list[PathLossParams]:
-    """One PathLossParams per anchor (ids 1, 2, 3) from a shared set or a list of three."""
-    if isinstance(params, PathLossParams):
-        return [params] * 3
-    params = list(params)
-    if len(params) != 3:
-        raise ValueError("need one path loss parameter set per anchor")
-    return params
-
-
 def expected_rssi(params: PathLossParams, d: float) -> float:
     """Mean received power at distance d (meters), in dBm. Requires a finite d >= d0."""
     if not math.isfinite(d):

@@ -209,7 +209,8 @@ def _cmd_simulate_dataset(args):
         raise ValueError(f"environment {args.env_name!r} not in config ({sorted(by_name)})")
     if args.n_per_point is not None:
         config = replace(config, n_per_point=args.n_per_point)
-    ds = config.dataset(by_name[args.env_name], args.seed, args.layout)
+    ds = config.dataset(by_name[args.env_name], args.seed)
+    ds = ds if args.layout == "hybrid" else ds.project_rssi()
     _write_json(args.out, dataset_to_dict(ds))
     print(f"wrote {args.out} ({ds.n} samples, {ds.rejects} redraws)")
     return 0
@@ -225,7 +226,7 @@ def _cmd_locate(args):
     env = standard_environment(args.room) if args.room else read_section(Environment, _read_json(args.env), "")
     # sigma is 0.0: inverting RSSI to distance reads only gamma, p_r_d0 and d0.
     params = (path_loss_from_dict(_read_json(args.params)) if args.gamma is None
-              else PathLossParams(args.gamma, 0.0, args.p_r_d0, PathLossParams.d0 if args.d0 is None else args.d0))
+              else (PathLossParams(args.gamma, 0.0, args.p_r_d0, PathLossParams.d0 if args.d0 is None else args.d0),) * 3)
     rssi = _floats(args.rssi, "rssi values", 3)
     if args.method == "trilat":
         est = trilaterate(env, params, rssi)

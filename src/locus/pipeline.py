@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import neural
-from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, noise_power, per_anchor_params, read_section, simulate_snapshots
+from .channel import ArraySpec, NlosModel, PathLossParams, check_bound, expected_rssi, json_form, noise_power, read_section, simulate_snapshots
 from .environment import Environment, GridRoom, Point2D, true_aoa, true_distance
 from .aoa import estimate_aoa, grid_size
 from .neural import TrainSpec
@@ -221,41 +221,42 @@ def generate_dataset(
     params,
     nlos: NlosModel,
     n_per_point: int,
-    layout: str = "hybrid",
     outlier: OutlierPolicy = OutlierPolicy(),
     seed: int = 0,
     aoa: AoaSim = AoaSim(),
 ) -> Dataset:
-    """Draw n_per_point accepted samples at every test point.
+    """Draw n_per_point accepted hybrid samples at every test point; params
+    holds the three anchors' path loss laws, in anchor id order.
 
     Rejected draws are redrawn (at most REDRAW_CAP rounds per point); the
     total count of rejected draws is reported on the dataset. Bit-identical
-    output for a fixed seed. Rows are always drawn and screened in the hybrid
-    layout; an rssi dataset is the hybrid one without its AoA columns.
+    output for a fixed seed. An rssi dataset is this one's project_rssi().
     """
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
     if n_per_point < 1:
         raise ValueError("n_per_point must be positive")
     if not env.test_points:
         raise ValueError("environment has no test points")
-    params3 = per_anchor_params(params)
+    # Python floats: a limit past the float range is inf, without numpy's overflow warning.
+    rssi_limits = [float(outlier.rssi_sigma_multiple) * float(p.sigma) for p in params]
+    if math.inf in rssi_limits:
+        i = rssi_limits.index(math.inf)
+        raise ValueError(f"sigma {params[i].sigma} of anchor {i + 1} in {env.name} gives an outlier screen limit "
+                         f"(rssi_sigma_multiple {outlier.rssi_sigma_multiple} * sigma) beyond the float range")
     rng = np.random.default_rng(seed)
-    sigmas = np.array([p.sigma for p in params3])
-    limits = (outlier.rssi_sigma_multiple * sigmas, outlier.aoa_threshold_deg)
+    sigmas = np.array([p.sigma for p in params])
+    limits = (np.array(rssi_limits), outlier.aoa_threshold_deg)
     measure = _aoa_measurer(rng, env, aoa)
 
     feats_all = []
     rejects = 0
     for p in env.test_points:
-        theo = [expected_rssi(params3[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
+        theo = [expected_rssi(params[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
         theo += [true_aoa(env, i, p) for i in (1, 2, 3)]
         feats, rej = _draw_point(rng, n_per_point, np.array(theo), sigmas, nlos, measure, limits)
         rejects += rej
         feats_all.append(feats)
     point_ids = np.repeat(np.arange(len(env.test_points)), n_per_point)
-    ds = Dataset(env, int(seed), np.vstack(feats_all), point_ids, rejects)
-    return ds if layout == "hybrid" else ds.project_rssi()
+    return Dataset(env, int(seed), np.vstack(feats_all), point_ids, rejects)
 
 
 def _aoa_measurer(rng, env: Environment, aoa: AoaSim):
@@ -435,17 +436,17 @@ def _baseline_mae_mm(test_ds: Dataset, locate) -> float:
     return 1000.0 * float(np.mean([math.hypot(e.x - tx, e.y - ty) for e, (tx, ty) in zip(ests, test_ds.targets.tolist())]))
 
 
-def trilat_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
+def trilat_baseline_mae_mm(env: Environment, params, test_ds: Dataset) -> float:
     """Closed-form trilateration on the raw RSSI features of a test split."""
-    return _baseline_mae_mm(test_ds, lambda row: trilaterate(env, params3, row[:3]))
+    return _baseline_mae_mm(test_ds, lambda row: trilaterate(env, params, row[:3]))
 
 
-def hybrid_baseline_mae_mm(env: Environment, params3, test_ds: Dataset) -> float:
+def hybrid_baseline_mae_mm(env: Environment, params, test_ds: Dataset) -> float:
     """Closed-form distance+angle fusion on raw hybrid features."""
     if test_ds.layout != "hybrid":
         raise ValueError("hybrid baseline needs a hybrid-layout dataset")
     return _baseline_mae_mm(
-        test_ds, lambda row: hybrid_position(env, rssi_distances(params3, row[:3]), row[3:6])
+        test_ds, lambda row: hybrid_position(env, rssi_distances(params, row[:3]), row[3:6])
     )
 
 
@@ -498,9 +499,9 @@ class ExperimentConfig:
             if not values or not set(values) <= set(allowed) or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be a nonempty list of distinct names from {list(allowed)}, got {list(values)}")
 
-    def dataset(self, spec: EnvSpec, seed: int, layout: str = "hybrid") -> Dataset:
-        """One room's dataset, drawn with this sweep's sample count, screen and AoA model."""
-        return generate_dataset(spec.env, list(spec.params), spec.nlos, self.n_per_point, layout, self.outlier, seed, self.aoa)
+    def dataset(self, spec: EnvSpec, seed: int) -> Dataset:
+        """One room's hybrid dataset, drawn with this sweep's sample count, screen and AoA model."""
+        return generate_dataset(spec.env, spec.params, spec.nlos, self.n_per_point, self.outlier, seed, self.aoa)
 
 
 def path_loss_from_dict(doc, where: str = "path_loss") -> tuple[PathLossParams, PathLossParams, PathLossParams]:
@@ -608,10 +609,9 @@ def _cell_jobs(config: ExperimentConfig, cells, results: list, runs: list):
         dataset_seed, split_seed, model_seeds = cell_seeds(seed, env_idx, len(config.models))
         ds_hybrid = config.dataset(spec, dataset_seed)
         tr_h, te_h = split(ds_hybrid, config.train_fraction, seed=split_seed)
-        params = list(spec.params)
         baselines = {
-            "trilat": trilat_baseline_mae_mm(spec.env, params, te_h),
-            "hybrid_closed_form": hybrid_baseline_mae_mm(spec.env, params, te_h),
+            "trilat": trilat_baseline_mae_mm(spec.env, spec.params, te_h),
+            "hybrid_closed_form": hybrid_baseline_mae_mm(spec.env, spec.params, te_h),
         }
         cell = {"environment": spec.env.name, "seed": seed, "rejects": ds_hybrid.rejects, "baselines": baselines, "runs": []}
         results.append(cell)
@@ -664,6 +664,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     LOCUS_THREADS > 1 splits the cells (environment x seed) into contiguous
     chunks, one worker process each (see worker_count); results are identical.
     """
+    # split()'s cut, checked once for every point before any cell is drawn.
+    if not 0 < round(config.train_fraction * config.n_per_point) < config.n_per_point:
+        raise ValueError(f"train_fraction {config.train_fraction} of n_per_point {config.n_per_point} "
+                         "leaves an empty train or test split at every test point")
     cells = [(ei, s) for ei in range(len(config.envs)) for s in config.seeds]
     workers = worker_count(len(cells))
     if workers > 1:

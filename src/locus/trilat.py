@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import PathLossParams, per_anchor_params
+from .channel import PathLossParams
 from .environment import Environment, Point2D
 
 # Reject nearly-singular linear systems. Environment only refuses degenerate
@@ -71,16 +71,15 @@ def rssi_to_distance(params: PathLossParams, rssi: float) -> float:
 def rssi_distances(params, rssi) -> DistanceVector:
     """Anchor distances implied by three RSSI readings.
 
-    params: one PathLossParams per anchor (anchor id order), or a single
-    set shared by all three. rssi: three finite readings in the same order.
+    params: three PathLossParams, one per anchor in anchor id order.
+    rssi: three finite readings in the same order.
     """
-    params3 = per_anchor_params(params)
     if len(rssi) != 3:
         raise ValueError("exactly three rssi readings required")
     for r in rssi:
         if not math.isfinite(r):
             raise ValueError(f"rssi readings must be finite, got {r}")
-    return DistanceVector(tuple(rssi_to_distance(p, r) for p, r in zip(params3, rssi)))
+    return DistanceVector(tuple(rssi_to_distance(p, r) for p, r in zip(params, rssi, strict=True)))
 
 
 def _condition_2x2(a) -> float:

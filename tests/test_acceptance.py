@@ -192,7 +192,7 @@ def test_split_normalization_reproducibility(verdict):
     env = standard_environment("small_classroom")
     params = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
     nlos = NlosModel(excess_loss_db=4.0, aoa_bias_deg_sigma=4.0)
-    ds = generate_dataset(env, params, nlos, 500, layout="hybrid", seed=31)
+    ds = generate_dataset(env, (params,) * 3, nlos, 500, seed=31)
     tr, te = split(ds, 0.8, seed=5)
     counts_ok = all(
         int(np.sum(tr.point_ids == pid)) == 400 and int(np.sum(te.point_ids == pid)) == 100
@@ -203,7 +203,7 @@ def test_split_normalization_reproducibility(verdict):
     back = stats.denormalize_targets(stats.normalize_targets(ds.targets))
     norm_err = float(np.max(np.abs(back - ds.targets)))
 
-    ds2 = generate_dataset(env, params, nlos, 500, layout="hybrid", seed=31)
+    ds2 = generate_dataset(env, (params,) * 3, nlos, 500, seed=31)
     data_stable = (
         np.array_equal(ds.features, ds2.features)
         and np.array_equal(ds.targets, ds2.targets)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -208,6 +209,20 @@ def test_locate_per_anchor_params_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["x"] == pytest.approx(3.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "hybrid", "--aoa=30,-40,120"]], ids=["trilat", "hybrid"])
+def test_locate_prints_one_fix_for_every_form_of_one_shared_law(capsys, tmp_path, method):
+    """--gamma, a --params object and a --params list holding that law three times are one input."""
+    law = {"gamma": 2.5, "sigma": 0.0, "p_r_d0": -40.0}
+    (tmp_path / "one.json").write_text(json.dumps(law))
+    (tmp_path / "three.json").write_text(json.dumps([law] * 3))
+    argv = ["locate", "--room", "small_classroom", "--rssi=-52.1,-63.9,-60.2", *method]
+    forms = [["--gamma", "2.5", "--p-r-d0=-40"], ["--params", str(tmp_path / "one.json")],
+             ["--params", str(tmp_path / "three.json")]]
+    gamma, one, three = (_run(capsys, [*argv, *form]) for form in forms)
+    assert gamma[0] == 0 and gamma[2] == ""
+    assert one == gamma and three == gamma
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +524,9 @@ def test_simulate_dataset_uses_config_outlier_section(capsys, tmp_path):
     )
     assert code == 0
     spec = load_config(cfg).envs[0]
-    want = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3,
+    want = generate_dataset(spec.env, spec.params, spec.nlos, 30, seed=3,
                             outlier=OutlierPolicy(rssi_sigma_multiple=2.0))
-    default = generate_dataset(spec.env, list(spec.params), spec.nlos, 30, seed=3)
+    default = generate_dataset(spec.env, spec.params, spec.nlos, 30, seed=3)
     assert want.rejects != default.rejects
     assert json.loads(ds_path.read_text())["rejects"] == want.rejects
     assert f"{want.rejects} redraws" in out
@@ -796,9 +811,25 @@ def test_an_overflowing_path_loss_law_fails_naming_gamma(capsys, tmp_path, comma
     assert not out.exists()
 
 
+SIGMA_LIMIT_ERROR = ("locus: error: sigma 1e+308 of anchor 1 in roomA gives an outlier screen limit "
+                     "(rssi_sigma_multiple 3.0 * sigma) beyond the float range\n")
+
+
+@pytest.mark.parametrize("command", ["report", "simulate dataset"])
+def test_a_sigma_whose_screen_limit_overflows_fails_naming_sigma(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, n_per_point=5, path_loss={"gamma": 2.5, "sigma": 1e308, "p_r_d0": -40.0})
+    argv = {
+        "report": ["report", "--config", cfg, "--out", str(out)],
+        "simulate dataset": ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--out", str(out)],
+    }[command]
+    assert _run(capsys, argv) == (2, "", SIGMA_LIMIT_ERROR)
+    assert not out.exists()
+
+
 def test_an_overflowing_shadowing_draw_writes_no_dataset(tmp_path):
-    """Run as a child: in-process, the test suite's RuntimeWarning filter would turn
-    the overflow warning of the draw into the failure, with or without the check."""
+    """Run as a child, outside the test suite's RuntimeWarning filter: the
+    refusal comes before any draw, so no numpy overflow warning reaches stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = tmp_path / "ds.json"
     cfg = _config_file(tmp_path, n_per_point=5, path_loss={"gamma": 2.5, "sigma": 1e308, "p_r_d0": -40.0})
@@ -807,9 +838,37 @@ def test_an_overflowing_shadowing_draw_writes_no_dataset(tmp_path):
          "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "'features' must be a list of 6 finite numbers" in proc.stderr, proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", SIGMA_LIMIT_ERROR)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n_per_point, train_fraction", [(1, 0.8), (2, 0.9)])
+def test_report_refuses_a_split_with_an_empty_side_before_any_cell(capsys, tmp_path, monkeypatch, threads,
+                                                                    n_per_point, train_fraction):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was drawn or a worker started")
+
+    monkeypatch.setattr(pipeline, "generate_dataset", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("LOCUS_THREADS", threads)
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, seeds=[0, 1], n_per_point=n_per_point, train_fraction=train_fraction)
+    code, stdout, err = _run(capsys, ["report", "--config", cfg, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == (f"locus: error: train_fraction {train_fraction} of n_per_point {n_per_point} "
+                   "leaves an empty train or test split at every test point\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_per_point", ["1", "2"])
+def test_simulate_dataset_draws_a_count_that_a_sweep_could_not_split(capsys, tmp_path, n_per_point):
+    """The split rule is the sweep's: a dataset of any positive count is drawn."""
+    out = tmp_path / "ds.json"
+    cfg = _config_file(tmp_path, train_fraction=0.9)
+    argv = ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--n-per-point", n_per_point, "--out", str(out)]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0 and stdout.startswith(f"wrote {out} ({3 * int(n_per_point)} samples")
 
 
 # ---------------------------------------------------------------------------

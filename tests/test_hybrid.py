@@ -144,7 +144,7 @@ def test_closed_form_fixes_on_custom_layouts(length, width, anchors, frames, poi
     env = Environment("custom", length, width, tuple(Anchor(i + 1, pos[i].x, pos[i].y, *frames[i]) for i in range(3)), (p,))
     params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0, d0=0.1)
     d = [true_distance(env, i, p) for i in (1, 2, 3)]
-    est = trilaterate(env, params, [expected_rssi(params, di) for di in d])
+    est = trilaterate(env, (params,) * 3, [expected_rssi(params, di) for di in d])
     assert p.distance_to(est.p) < 1e-9
     est = hybrid_position(env, DistanceVector(tuple(d)), [true_aoa(env, i, p) for i in (1, 2, 3)])
     assert p.distance_to(est.p) < 1e-9

@@ -37,8 +37,8 @@ from locus.pipeline import (
     _run_cells,
 )
 
-PARAMS = PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0)
-QUIET = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
+PARAMS = (PathLossParams(gamma=2.5, sigma=3.0, p_r_d0=-40.0),) * 3
+QUIET = (PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0),) * 3
 # Music mode at a scale that keeps a test well under a second.
 TINY_MUSIC = AoaSim(mode="music", music=MusicSpec(8, 0.5, 64, snr_db=20.0, grid_step_deg=0.5))
 # screen_outlier's thresholds: 9 dB per anchor, 10 degrees.
@@ -131,7 +131,8 @@ def test_screen_zero_noise_passes_zero_thresholds(theo, n):
 @given(seed=st.integers(0, 2**32), n_per_point=st.integers(1, 12), layout=st.sampled_from(["rssi", "hybrid"]))
 def test_zero_noise_dataset_passes_a_zero_screen(seed, n_per_point, layout):
     env = _tiny_env()
-    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), n_per_point, layout, OutlierPolicy(0.0, 0.0), seed, AoaSim("fast", 0.0))
+    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), n_per_point, OutlierPolicy(0.0, 0.0), seed, AoaSim("fast", 0.0))
+    ds = ds if layout == "hybrid" else ds.project_rssi()
     assert ds.rejects == 0
     assert np.array_equal(np.bincount(ds.point_ids), [n_per_point] * 3)
 
@@ -140,7 +141,8 @@ def test_zero_noise_dataset_passes_a_zero_screen(seed, n_per_point, layout):
 @given(seed=st.integers(0, 2**32), n_per_point=st.integers(1, 12), layout=st.sampled_from(["rssi", "hybrid"]))
 def test_generate_dataset_repeats_bit_for_bit(seed, n_per_point, layout):
     env = _tiny_env()
-    a, b = (generate_dataset(env, PARAMS, NlosModel(2.0, 3.0), n_per_point, layout, seed=seed) for _ in range(2))
+    a, b = (generate_dataset(env, PARAMS, NlosModel(2.0, 3.0), n_per_point, seed=seed) for _ in range(2))
+    a, b = (a, b) if layout == "hybrid" else (a.project_rssi(), b.project_rssi())
     assert a.features.tobytes() == b.features.tobytes() and a.rejects == b.rejects
     assert np.array_equal(np.bincount(a.point_ids), [n_per_point] * 3)
     for pid, p in enumerate(env.test_points):
@@ -152,7 +154,7 @@ def test_music_dataset_at_the_far_wall():
     MUSIC estimate lands near -180 and must pass the screen."""
     env = make_environment("r", 9, 7, [Point2D(9.0, 3.5), Point2D(4.5, 3.5)])
     assert true_aoa(env, 2, env.test_points[0]) == 180.0
-    ds = generate_dataset(env, PARAMS, NlosModel(4.0, 4.0), 20, "hybrid", seed=0, aoa=AoaSim(mode="music"))
+    ds = generate_dataset(env, PARAMS, NlosModel(4.0, 4.0), 20, seed=0, aoa=AoaSim(mode="music"))
     wall = ds.features[ds.point_ids == 0, 4]
     assert np.all(np.minimum(wall % 360.0, 360.0 - wall % 360.0) > 170.0)
 
@@ -167,7 +169,7 @@ def test_default_policy_scales_with_sigma():
     theo = [expected_rssi(params[i - 1], true_distance(env, i, env.test_points[0])) for i in (1, 2, 3)]
     for policy, multiple in ((None, 3.0), (OutlierPolicy(1.5, 10.0), 1.5)):
         kwargs = {} if policy is None else {"outlier": policy}
-        ds = generate_dataset(env, params, NlosModel(0.0, 0.0), 300, "rssi", seed=4, **kwargs)
+        ds = generate_dataset(env, params, NlosModel(0.0, 0.0), 300, seed=4, **kwargs).project_rssi()
         dev = np.abs(ds.features - theo)
         assert np.all(dev <= multiple * sigmas)
         assert np.all(dev.max(axis=0) > 0.8 * multiple * sigmas)
@@ -180,13 +182,13 @@ def test_default_policy_scales_with_sigma():
 def test_zero_noise_features_equal_theoretical():
     """sigma=0, nlos=(0,0): every sample is exactly the theoretical vector."""
     env = _tiny_env()
-    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), 5, layout="hybrid", seed=0,
+    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), 5, seed=0,
                           aoa=AoaSim("fast", 0.0))
     assert ds.rejects == 0
     assert ds.n == 15
     for pid, p in enumerate(env.test_points):
         theo = np.array(
-            [expected_rssi(QUIET, true_distance(env, i, p)) for i in (1, 2, 3)]
+            [expected_rssi(QUIET[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
             + [true_aoa(env, i, p) for i in (1, 2, 3)]
         )
         rows = ds.features[ds.point_ids == pid]
@@ -202,10 +204,10 @@ def test_zero_noise_features_equal_theoretical():
 def test_generated_features_respect_screen(aoa, n_per_point, aoa_bias):
     env = _tiny_env()
     nlos = NlosModel(1.0, aoa_bias)
-    ds = generate_dataset(env, PARAMS, nlos, n_per_point, layout="hybrid", seed=3, aoa=aoa)
+    ds = generate_dataset(env, PARAMS, nlos, n_per_point, seed=3, aoa=aoa)
     for pid, p in enumerate(env.test_points):
         theo = np.array(
-            [expected_rssi(PARAMS, true_distance(env, i, p)) for i in (1, 2, 3)]
+            [expected_rssi(PARAMS[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)]
             + [true_aoa(env, i, p) for i in (1, 2, 3)]
         )
         rows = ds.features[ds.point_ids == pid]
@@ -217,15 +219,15 @@ def test_generated_features_respect_screen(aoa, n_per_point, aoa_bias):
 
 def test_rssi_layout_has_three_columns():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="rssi", seed=1)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, seed=1).project_rssi()
     assert ds.features.shape == (30, 3)
 
 
 def test_dataset_determinism_and_seed_sensitivity():
     env = _tiny_env()
-    a = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, layout="hybrid", seed=5)
-    b = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, layout="hybrid", seed=5)
-    c = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, layout="hybrid", seed=6)
+    a = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, seed=5)
+    b = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, seed=5)
+    c = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 50, seed=6)
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(a.features, c.features)
 
@@ -235,13 +237,13 @@ def test_redraw_cap_raises(aoa):
     env = _tiny_env(1)
     strict = OutlierPolicy(0.001 / 3.0, 10.0)
     with pytest.raises(RuntimeError, match="redraw cap"):
-        generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="hybrid",
+        generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5,
                          outlier=strict, seed=0, aoa=aoa)
 
 
 def test_project_rssi_shares_draws():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 30, layout="hybrid", seed=7)
+    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 30, seed=7)
     view = ds.project_rssi()
     assert view.layout == "rssi"
     assert np.array_equal(view.features, ds.features[:, :3])
@@ -254,18 +256,18 @@ def test_music_mode_dataset():
     """Slow path at tiny scale: estimates must stay within the screen."""
     env = _tiny_env(1)
     aoa = AoaSim(mode="music", music=MusicSpec(8, 0.5, 64, snr_db=20.0, grid_step_deg=0.5))
-    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.5), 3, layout="hybrid", seed=2, aoa=aoa)
+    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.5), 3, seed=2, aoa=aoa)
     p = env.test_points[0]
     theo_aoa = np.array([true_aoa(env, i, p) for i in (1, 2, 3)])
     assert np.all(np.abs(ds.features[:, 3:] - theo_aoa) < 10.0)
     # rssi half is exact at sigma 0
-    theo_rssi = np.array([expected_rssi(QUIET, true_distance(env, i, p)) for i in (1, 2, 3)])
+    theo_rssi = np.array([expected_rssi(QUIET[i - 1], true_distance(env, i, p)) for i in (1, 2, 3)])
     assert np.allclose(ds.features[:, :3], theo_rssi, atol=1e-12)
 
 
 def test_dataset_json_roundtrip():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 8, layout="hybrid", seed=11)
+    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 8, seed=11)
     doc = json.loads(json.dumps(dataset_to_dict(ds)))
     back = dataset_from_dict(doc)
     assert back.layout == ds.layout
@@ -277,7 +279,7 @@ def test_dataset_json_roundtrip():
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_dataset_refuses_a_non_finite_feature_naming_its_first_sample(bad):
-    ds = generate_dataset(_tiny_env(), PARAMS, NlosModel(1.0, 1.0), 4, layout="rssi", seed=2)
+    ds = generate_dataset(_tiny_env(), PARAMS, NlosModel(1.0, 1.0), 4, seed=2).project_rssi()
     features = ds.features.copy()
     features[[5, 9], 1] = bad
     with pytest.raises(ValueError, match=r"^dataset sample 5: 'features' must be a list of 3 finite numbers$"):
@@ -290,7 +292,7 @@ def test_dataset_refuses_a_non_finite_feature_naming_its_first_sample(bad):
 
 def test_split_exact_counts():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 500, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 500, seed=0).project_rssi()
     tr, te = split(ds, 0.8, seed=1)
     for pid in range(3):
         assert int(np.sum(tr.point_ids == pid)) == 400
@@ -299,7 +301,7 @@ def test_split_exact_counts():
 
 def test_split_disjoint_and_complete():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 0.0), 40, layout="rssi", seed=4)
+    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 0.0), 40, seed=4).project_rssi()
     tr, te = split(ds, 0.75, seed=2)
     assert tr.n + te.n == ds.n
     # features partition the original rows exactly
@@ -309,7 +311,7 @@ def test_split_disjoint_and_complete():
 
 def test_split_deterministic_and_fraction_validation():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, seed=0).project_rssi()
     a1, b1 = split(ds, 0.8, seed=9)
     a2, b2 = split(ds, 0.8, seed=9)
     assert np.array_equal(a1.features, a2.features)
@@ -323,7 +325,7 @@ def test_split_deterministic_and_fraction_validation():
 
 def test_split_refuses_what_split_spec_refuses_in_its_words():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, seed=0).project_rssi()
     for fraction, seed in ((1.5, 0), (math.nan, 0), (0.8, -1)):
         with pytest.raises(ValueError) as spec_error:
             SplitSpec(fraction, seed)
@@ -338,7 +340,7 @@ def test_split_refuses_what_split_spec_refuses_in_its_words():
 
 def test_norm_roundtrip_far_below_tolerance():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 30, layout="hybrid", seed=13)
+    ds = generate_dataset(env, PARAMS, NlosModel(1.0, 1.0), 30, seed=13)
     stats = NormStats.fit(ds)
     yn = stats.normalize_targets(ds.targets)
     back = stats.denormalize_targets(yn)
@@ -373,7 +375,7 @@ def test_norm_out_of_range_passes_through_unclamped():
 
 def test_norm_stats_dict_roundtrip():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, seed=0).project_rssi()
     stats = NormStats.fit(ds)
     back = NormStats.from_dict(json.loads(json.dumps(stats.to_dict())), 3)
     assert np.array_equal(back.feature_min, stats.feature_min)
@@ -420,7 +422,7 @@ class _FixedOffsetModel:
 def test_evaluate_mae_constant_offset_oracle():
     """A model off by exactly 0.25 m in x must score 250 mm."""
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 20, seed=0).project_rssi()
     stats = NormStats.fit(ds)
     model = _FixedOffsetModel(stats, 0.25)
     model.prime(ds.targets)
@@ -433,7 +435,7 @@ def test_evaluate_mae_constant_offset_oracle():
 
 def test_evaluate_mae_refuses_non_finite_or_overflowing_predictions():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 5, seed=0).project_rssi()
     stats = NormStats.fit(ds)
     for offset_m in (math.nan, math.inf, 1e300):
         model = _FixedOffsetModel(stats, offset_m)
@@ -444,12 +446,12 @@ def test_evaluate_mae_refuses_non_finite_or_overflowing_predictions():
 
 def test_improvement_percent():
     env = _tiny_env()
-    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="rssi", seed=0)
+    ds = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, seed=0).project_rssi()
     stats = NormStats.fit(ds)
     a = _FixedOffsetModel(stats, 0.4)
     a.prime(ds.targets)
     mae_rssi = evaluate_mae(a, ds, stats)[0]
-    dsh = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, layout="hybrid", seed=0,
+    dsh = generate_dataset(env, PARAMS, NlosModel(0.0, 0.0), 10, seed=0,
                            aoa=AoaSim("fast", 0.0))
     b = _FixedOffsetModel(NormStats.fit(dsh), 0.1)
     b.prime(dsh.targets)
@@ -462,10 +464,10 @@ def test_improvement_percent():
 
 def test_baselines_zero_noise_are_exact():
     env = _tiny_env()
-    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), 5, layout="hybrid", seed=0,
+    ds = generate_dataset(env, QUIET, NlosModel(0.0, 0.0), 5, seed=0,
                           aoa=AoaSim("fast", 0.0))
-    assert trilat_baseline_mae_mm(env, [QUIET] * 3, ds) < 1e-3
-    assert hybrid_baseline_mae_mm(env, [QUIET] * 3, ds) < 1e-6
+    assert trilat_baseline_mae_mm(env, QUIET, ds) < 1e-3
+    assert hybrid_baseline_mae_mm(env, QUIET, ds) < 1e-6
 
 
 # ---------------------------------------------------------------------------

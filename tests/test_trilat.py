@@ -57,7 +57,7 @@ def test_linearize_rows_against_symbolic_oracle():
     ]
     exact = sympy.solve([sympy.expand(exprs[i] - exprs[2]) for i in range(2)], [x, y])
     params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
-    est = trilaterate(env, params, [expected_rssi(params, di) for di in d])
+    est = trilaterate(env, (params,) * 3, [expected_rssi(params, di) for di in d])
     assert est.p.x == pytest.approx(float(exact[x]), abs=1e-9)
     assert est.p.y == pytest.approx(float(exact[y]), abs=1e-9)
 
@@ -69,7 +69,7 @@ def test_trilaterate_noiseless_recovery():
     for _ in range(100):
         p = Point2D(rng.uniform(1.5, 12.0), rng.uniform(1.5, 12.0))
         rssi = [expected_rssi(params, true_distance(env, i, p)) for i in (1, 2, 3)]
-        est = trilaterate(env, params, rssi)
+        est = trilaterate(env, (params,) * 3, rssi)
         assert p.distance_to(est.p) < 1e-6
         assert est.residual < 1e-6
 
@@ -93,7 +93,7 @@ def test_trilaterate_residual_reflects_noise():
     p = Point2D(5.0, 5.0)
     rssi = [expected_rssi(params, true_distance(env, i, p)) for i in (1, 2, 3)]
     noisy = [r + delta for r, delta in zip(rssi, (2.0, -1.0, 0.5))]
-    est = trilaterate(env, params, noisy)
+    est = trilaterate(env, (params,) * 3, noisy)
     assert est.residual > 0.01
 
 
@@ -117,7 +117,7 @@ def test_trilaterate_roundtrip_property(x, y, gamma):
     params = PathLossParams(gamma=gamma, sigma=0.0, p_r_d0=-40.0)
     p = Point2D(x, y)
     rssi = [expected_rssi(params, true_distance(env, i, p)) for i in (1, 2, 3)]
-    est = trilaterate(env, params, rssi)
+    est = trilaterate(env, (params,) * 3, rssi)
     assert p.distance_to(est.p) < 1e-6
 
 
@@ -139,16 +139,16 @@ def test_trilaterate_refuses_a_near_singular_system():
     assert np.linalg.cond(2.0 * np.array([[2e4, 1e-9], [1e4, 1e-9]])) > MAX_CONDITION
     params = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
     with pytest.raises(ValueError, match=r"condition number .* too large"):
-        trilaterate(env, params, [-60.0, -60.0, -60.0])
+        trilaterate(env, (params,) * 3, [-60.0, -60.0, -60.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rssi_distances_refuses_a_non_finite_reading(bad):
     p = PathLossParams(gamma=2.5, sigma=0.0, p_r_d0=-40.0)
     with pytest.raises(ValueError, match=f"rssi readings must be finite, got {bad}"):
-        rssi_distances(p, [-50.0, bad, -60.0])
+        rssi_distances((p,) * 3, [-50.0, bad, -60.0])
     with pytest.raises(ValueError, match=f"rssi readings must be finite, got {bad}"):
-        trilaterate(_env(), p, [-50.0, -55.0, bad])
+        trilaterate(_env(), (p,) * 3, [-50.0, -55.0, bad])
 
 
 def test_rssi_to_distance_refuses_a_reading_whose_distance_overflows():
