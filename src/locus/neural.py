@@ -7,8 +7,9 @@ coordinates with plain mini-batch SGD:
   * RBF: Gaussian kernels on k-means centers; only the linear output layer
     is trainable (centers and widths stay fixed after init). The output
     layer can also be solved directly by ridge least squares.
-  * CNN: the feature vector treated as a length-L, 1-channel sequence;
-    two width-2 valid convolutions with tanh, then a flatten and two
+  * CNN: the feature vector read as a sequence of 3 anchors with C channels
+    each (C = 1 for RSSI rows, 2 for hybrid rows: an anchor's RSSI and
+    angle); two width-2 valid convolutions with tanh, then a flatten and two
     dense layers.
 
 Everything is numpy; gradients are hand-derived backprop, verifiable
@@ -27,9 +28,9 @@ from .channel import check_bound
 RIDGE_DEFAULT = 1e-6
 KMEANS_ITERATIONS = 50
 WIDTH_FLOOR = 1e-6
-# Models per SGD stack in fit. Past about ten, a CNN step's arrays outgrow the
-# caches: at batch 32 and input width 6, a model-step took 82 us in a stack
-# of 10 and 94 us in one of 30 (one core of a shared 2-core x86 host).
+# Models per SGD stack in fit. Past about ten, larger stacks buy little: at
+# batch 32, a hybrid CNN (3 anchors x 2 channels) model-step took 38 us in a
+# stack of 10 and 35 us in one of 30 (best of 3, one core of a shared 2-core x86 host).
 STACK_LIMIT = 10
 
 
@@ -359,21 +360,24 @@ class CnnModel(Regressor):
 
     @staticmethod
     def _layout(arrays):
-        """Two width-kw convolutions with f0 and f1 filters (cw0, cb0, cw1, cb1), then
-        dense layers (w0, b0, w1, b1) on the flattened (l2, f1) output of an l2 + 2 (kw - 1) input."""
-        kw, _, f0 = _dims(arrays, "cw0", 3)
+        """Two width-kw convolutions with f0 and f1 filters (cw0, cb0, cw1, cb1), then dense layers
+        (w0, b0, w1, b1) on the flattened (l2, f1) output of l2 + 2 (kw - 1) steps of c channels."""
+        kw, c, f0 = _dims(arrays, "cw0", 3)
+        if c < 1:
+            raise ValueError("model array 'cw0' must have at least one input channel")
         f1 = _dims(arrays, "cw1", 3)[2]
         dense, flat = _dims(arrays, "w0", 2)
         l2 = flat // f1 if f1 else 0
         if l2 < 1 or l2 * f1 != flat:
             raise ValueError(f"model array 'w0' has {flat} inputs, not a positive multiple of {f1} filters")
-        shapes = {"cw0": (kw, 1, f0), "cb0": (f0,), "cw1": (kw, f0, f1), "cb1": (f1,),
+        shapes = {"cw0": (kw, c, f0), "cb0": (f0,), "cw1": (kw, f0, f1), "cb1": (f1,),
                   "w0": (dense, flat), "b0": (dense,), "w1": (2, dense), "b1": (2,)}
-        return l2 + 2 * (kw - 1), {"kernel_width": kw, "filters": [f0, f1], "dense_width": dense}, shapes
+        return (l2 + 2 * (kw - 1)) * c, {"kernel_width": kw, "filters": [f0, f1], "dense_width": dense}, shapes
 
     def _forward(self, x):
         cw0, cb0, cw1, cb1, w0, b0, w1, b1 = self.arrays.values()
-        u0, z1 = _conv1d(x[..., None], cw0, cb0)
+        # (..., n, C * L) -> (..., n, L, C): feature j * L + t is channel j of step t.
+        u0, z1 = _conv1d(x.reshape(*x.shape[:-1], cw0.shape[-2], -1).swapaxes(-1, -2), cw0, cb0)
         a1 = np.tanh(z1)
         u1, z2 = _conv1d(a1, cw1, cb1)
         a2 = np.tanh(z2)
@@ -411,18 +415,21 @@ class CnnModel(Regressor):
         }
 
 
-def make_cnn(input_dim: int, filters=(16, 16), kernel_width=2, dense_width=32, seed=0) -> CnnModel:
-    if input_dim < 2 * (kernel_width - 1) + 1:
-        raise ValueError(f"input length {input_dim} too short for two width-{kernel_width} convolutions")
+def make_cnn(input_dim: int, channels=1, filters=(16, 16), kernel_width=2, dense_width=32, seed=0) -> CnnModel:
+    if channels < 1 or input_dim % channels:
+        raise ValueError(f"input width {input_dim} is not a multiple of {channels} channels")
+    length = input_dim // channels
+    if length < 2 * (kernel_width - 1) + 1:
+        raise ValueError(f"input length {length} too short for two width-{kernel_width} convolutions")
     if len(filters) != 2 or any(f < 1 for f in filters):
         raise ValueError("need two positive filter counts")
     if dense_width < 1:
         raise ValueError("dense width must be positive")
     rng = np.random.default_rng(seed)
     f0, f1 = filters
-    cw0 = _xavier(rng, kernel_width * 1, kernel_width * f0, (kernel_width, 1, f0))
+    cw0 = _xavier(rng, kernel_width * channels, kernel_width * f0, (kernel_width, channels, f0))
     cw1 = _xavier(rng, kernel_width * f0, kernel_width * f1, (kernel_width, f0, f1))
-    l2 = input_dim - 2 * (kernel_width - 1)
+    l2 = length - 2 * (kernel_width - 1)
     flat = l2 * f1
     w0 = _xavier(rng, flat, dense_width, (dense_width, flat))
     w1 = _xavier(rng, dense_width, 2, (2, dense_width))
@@ -481,12 +488,13 @@ def build(family: str, x: np.ndarray, seed: int, rbf_centers: int) -> Regressor:
     """A fresh model of one family for the training features x, shape (n, input_dim).
 
     MLP and CNN take their constructors' default architectures; RBF places
-    min(rbf_centers, n) k-means centers on x.
+    min(rbf_centers, n) k-means centers on x. The CNN reads a row as the 3
+    anchors with one channel per quantity (RSSI, then angle in hybrid rows).
     """
     if family == "mlp":
         return make_mlp(x.shape[1], seed=seed)
     if family == "cnn":
-        return make_cnn(x.shape[1], seed=seed)
+        return make_cnn(x.shape[1], channels=x.shape[1] // 3, seed=seed)
     if family == "rbf":
         return RbfModel.init(x, k=min(rbf_centers, x.shape[0]), seed=seed)
     raise ValueError(f"unknown model family {family!r}")

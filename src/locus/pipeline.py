@@ -77,10 +77,10 @@ def screen_outlier(theoretical, measured, rssi_threshold_db, aoa_threshold_deg) 
     if theoretical.shape != (6,) or measured.shape[-1] != 6:
         raise ValueError("feature vectors must both have 6 entries: 3 RSSI values, then 3 angles")
     dev = np.abs(measured - theoretical)
-    bad = np.any(dev[..., :3] > np.asarray(rssi_threshold_db), axis=-1)
+    rssi_within = np.all(dev[..., :3] <= np.asarray(rssi_threshold_db), axis=-1)
     turn = dev[..., 3:] % 360.0
-    # Written as "all within" so that a non-finite angle, whose turn is NaN, fails.
-    return ~bad & np.all(np.minimum(turn, 360.0 - turn) <= aoa_threshold_deg, axis=-1)
+    # Both halves are written as "all within" so that a NaN RSSI, or a non-finite angle whose turn is NaN, fails.
+    return rssi_within & np.all(np.minimum(turn, 360.0 - turn) <= aoa_threshold_deg, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,9 @@ def _draw_point(rng, n, theo, sigmas, nlos, measure, limits):
     """
 
     def draw(count):
-        rssi = theo[:3] - nlos.excess_loss_db - rng.standard_normal((count, 3)) * sigmas
+        # A shadowing draw past the float range is infinite, and the screen rejects its row.
+        with np.errstate(over="ignore"):
+            rssi = theo[:3] - nlos.excess_loss_db - rng.standard_normal((count, 3)) * sigmas
         biased = theo[3:] + rng.standard_normal((count, 3)) * nlos.aoa_bias_deg_sigma
         return np.column_stack([rssi, measure(biased)])
 

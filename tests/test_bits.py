@@ -49,42 +49,42 @@ RECORDED_BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 REPORT_DIGESTS = {
     "report_fast": {
         1: {
-            "report.json": "99ecf82ea1363744e3897050cf569049c61ae78ebe6d6da3578eed177e2b1dd9",
-            "mae_table.csv": "4ec166cc600f7abfdd8eae01a7245a0ca60b149b215a621adba0492c979a5e9e",
-            "improvement_table.csv": "7f1d0f7ef63cbd518abe49050851c1cf52a932fdeeb4c5a4f8cd5daca920e341",
-            "loss_history.csv": "4fc4b0e2bfa9649cda6f856321630b839733588a969bc465f29c058fb6a3cd25",
+            "report.json": "f33368710dbac39f6b93e41b571d745adb0b1ee478ac218d842740d66e58c812",
+            "mae_table.csv": "eb8c82ed0427a622a000abc2c4e432de3b0d41dfbc5adf3446652deccd883616",
+            "improvement_table.csv": "98225738c1d5775abfa4100263b09297684b12fc8878c3a0d9145cafaf5ccb5a",
+            "loss_history.csv": "e13aaa2382c55291252fb4c62d4bc6f94ae8c261c2b455a064e5c1cb781f123b",
         },
         2: {
-            "report.json": "6b1bf9bd39db5e0c655aa0b8135f7ffd8f88df0b5e81a004cd8286ffd0bdaab1",
-            "mae_table.csv": "275cbdef48e089e6208cb038c50f4923bdbebf317a1ea8d07c0153cd5ec99bcf",
-            "improvement_table.csv": "031539ad4ee00e7678ba021efe6e7542082e10bf13e56851b21748b871560fd9",
-            "loss_history.csv": "effeac9c4d605b4c8df8d3e58035aecfd65759c7ca692675da87a14d492b1efc",
+            "report.json": "0609671f347408e5dd17ccc3f60dee7ec17f2b9f933f05bdc29cbab104ad3562",
+            "mae_table.csv": "646149b1d3de77c87b618b99b312105e71ec75ee0e89e9611e2d4722549af852",
+            "improvement_table.csv": "006e13702cf0aeb2d862faa39998e2ce5283eec54f03fb6532b85b5d9dd430ce",
+            "loss_history.csv": "412ff07c33d662ec68c09a1aa80b3d5a202c2c3bd54629ebee10bbc386403559",
         },
         3: {
-            "report.json": "cdf18f2f02b15326de399dd9275d6f6fc5b471bc3eccc2173e1bfa250a4702ff",
-            "mae_table.csv": "ea1ff825f341faf81b68f4b96a93eec01ad6a894e3f65ec15f5dafe032ba7f29",
-            "improvement_table.csv": "afd9205396013996b1142dc56014d2ed3bc433d0dd1f529fa7d744bd045caa6b",
-            "loss_history.csv": "b6be23d2105c1a0543c6de5d956c0ef9dede2420f709693e541eb661477303af",
+            "report.json": "276b3068206c2a84462a035af4b4b10e4a4a90fc1d614a4156a14db6e686ecd6",
+            "mae_table.csv": "8378de66d13f5341050766a92e30df1ce405e487fd283cb6be0aa29b94cd64da",
+            "improvement_table.csv": "325a74cbaa29c2ea73fc597bb98e157625677e4eb38da75c47a69223b807d451",
+            "loss_history.csv": "f8d2db19c24b181892b0e01be8ca2119b798b03c6022b87a2edc867477ef4b9d",
         },
     },
     "report_music": {
         1: {
-            "report.json": "84a21c3d12250e82baa16ee0ebcefb53b62e1f1982dbae9adbbad253b15e7700",
-            "mae_table.csv": "e0dd07ab889c7367a777dbc0a6fb22f91006deece5157031c98c196e170d2cf3",
-            "improvement_table.csv": "192a86596b11373576b7fd93c24438df641e07318587367c9907c841dd9feab6",
-            "loss_history.csv": "906221950e1086fbb3dcabbefe4581cbaedd993dcb2cd3bce6c583b051c6f376",
+            "report.json": "0969cfa7f4596f697419f57f96ff295cb6c40111eec0cfac129e8d8dc8f1a8d2",
+            "mae_table.csv": "c5b9d489be1e8f5b6a1daffc6bf897823cb360be0523a3653ccdf385caa2e93f",
+            "improvement_table.csv": "3b4cc57b4e96b86432a3e31123a38a9da9c95b4623f82fc72e65e18c4f52e9de",
+            "loss_history.csv": "729c396a5a9ae221c2e9a57414f3adc15cd1c094670c8bbedf40fa808a64f38b",
         },
         2: {
-            "report.json": "46bf0efcc9109483625c5f04a2cf5d91681f4df7d96a3e5b1c25d15411dd0ab9",
-            "mae_table.csv": "eddb60dd52481ecfb9f9c4d940a35ec3957ed6f9b8a0aa00b1e455f56bbddfb4",
-            "improvement_table.csv": "96916f7919d1632037f261a834c5090b97965d88e12dc429dc4af22714d982a7",
-            "loss_history.csv": "fd77106ec617273d48b3f9e544c88f530de22500779f3fa6f5650c0b0d2a2fa0",
+            "report.json": "48636f3e9646ee9e11aa3d3951c0318fdca1be2fb411b89b4abf2bd7efec1d0a",
+            "mae_table.csv": "809d1860ddb1ce7615b36e3a6c2d17926b2b1afd755b4b72c9868e1e93cfc2b3",
+            "improvement_table.csv": "d20a6db8d3749bf0926cb0ded9ec3291d3193dbd7e5662804f8dcd28c7d98119",
+            "loss_history.csv": "3c43aaa726dabbcf9fc0fe3e35395d23e6888858cdb4065d9cf89126a25ea5c6",
         },
         3: {
-            "report.json": "8f9bfbfb0b59380f1acea3948ddda264b515ad0399497557fb8a46203a00d4ff",
-            "mae_table.csv": "1f233958d354e9e6db05dae4a1cc1694cffbeed583295da340ea16e201cc507d",
-            "improvement_table.csv": "f77c2cb455dbac74a94095e9224b77267dd5b545b4616ecc430223fbe3c1e103",
-            "loss_history.csv": "43ddf1075dadec1474d29da85695cb14b758efa8a22e3f9eb77e47728cda66d1",
+            "report.json": "25ed924e1bb7b4bd37b151533b8401adbe4eedae19918958d093163bd184f730",
+            "mae_table.csv": "80e23c6945b218acd4341dfc5699fe11a9a567ed3a2b414c86131cf4fcea58fb",
+            "improvement_table.csv": "de9c18bb5d3767b26327c591ba0ad8dca05a283a6bf57601b59e16ed0842ff3c",
+            "loss_history.csv": "519b0e69cfd7070f30168dbac01e2e14e67c94c7ca46e9cc84f4c452325b87de",
         },
     },
     "report_rbf": {
@@ -110,14 +110,14 @@ REPORT_DIGESTS = {
 }
 REPORT_STDOUT_DIGESTS = {
     "report_fast": {
-        1: "b0aaeacc36bba6e9515e8932d7abb365b59aadb1dcbbde0004a5af8ccad45520",
-        2: "47bcfe3b75b4e09ae1ffdfbff95c9b2985f10a870b2699d26b8a97bc2c576705",
-        3: "1e8ac305eba62c51f65cc8eeba282d050aeebef55c9ce29554796919530c98e2",
+        1: "ea01611dda10119b59ea1a42b0cc8ae26e5120cb7a5aaa20ddaecb31c9738713",
+        2: "9dcb578f965da3ff55bb959d6254c1882f402402e2e2593b0a3fe76adf5f0e80",
+        3: "ccdc4200c0400836e0dcd7786528bb22d11362aae6340e7d1f25df3686ddcc45",
     },
     "report_music": {
-        1: "d33db28ee4e5aa3bca12671f91eb150e3081131405ecd6c4dd0ef39245597596",
-        2: "cef7d046c0548b1b686dfc65ba5482c0eca214e804d5a054038b8fd2ac60d4f0",
-        3: "683a4fb7c94fb9a6fc8294aa1a575baddc1bad81a3deab4e6be1eddb81103277",
+        1: "eb9a8c404aae0b5eb407b5e9e2875883a81ef2dcb82401d0db9dc80937c531cd",
+        2: "6d1602d0f0ad43930fef0b93fb821e0d7623cbaf8eb00786f1cca222e36aa59b",
+        3: "999b7dd855001a4a258e3add06d639d262d451f94326351e28272c9e76d1b5ca",
     },
     "report_rbf": {
         1: "740730a7194602eea62c2aa2152c974263cf111ecf6037ce90f02406d03d2950",
@@ -132,7 +132,7 @@ DATASET_DIGESTS = {
 MODEL_DIGESTS = {
     "mlp": "d5f186d2e8cf81c257d021c5b9c09d6c1d719cee73c31af4e20623cef6bbf027",
     "rbf": "237f960a60402e35275e2aeadaae41696597753e7cb587bc5d3c5ce9cd97e2b8",
-    "cnn": "0d8e5e531c65c72a8c92141b3621db8f23f6e6272328bbd289cbb240fe3219a5",
+    "cnn": "2d0df042c39a960381824090610d56c4a9d0f6e8c7327fc800341af8e938cad1",
 }
 RSSI_MODEL_DIGESTS = {
     "mlp": "0461832c918f8bc1c47322f0f26bad1de0d7d415cdb83337da0b38423a260504",
@@ -145,8 +145,8 @@ MODEL_STDOUT_DIGESTS = {
             "predict": "fa7973c5a16c0a455682a4ba539fb54b8fa2e8c84cb754bccee46b0af22f588a"},
     "rbf": {"eval": "e55a2ba76fd7c1efdd92b9a6590117a2917d55f3e440d1a94bdb911048697db9",
             "predict": "3c292f06a7966c51da7d5a6af75f95fcfa144b5e8283ecb0d91ce8a02b760e21"},
-    "cnn": {"eval": "f4e862b8bc2e07b6e59ca038e7c178768ade7caadca744638358c95c052f35dc",
-            "predict": "9032449de8c57df698d8457952387838ba367647a9e4f1dd067bc4884aa8bbc7"},
+    "cnn": {"eval": "3433b1b3775f8d5e1cb306ce0f0a92f7ecccede6794ece03806df39652d6185f",
+            "predict": "ea033804e128f036f4ed5faa47cf3d13072e20eb586851dac699914a5b358801"},
 }
 PREDICT_ROWS = "-52.1,-63.9,-60.2,41.2,-37.8,12.5;-56.2,-66.9,-68.0,36.4,-108.0,-8.5;-63.0,-67.3,-67.1,50.0,-136.3,-45.5"
 # `locus fit` on the CSV that FIT_SAMPLES prints.

@@ -827,6 +827,21 @@ def test_a_sigma_whose_screen_limit_overflows_fails_naming_sigma(capsys, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sigma_near_the_float_range_draws_only_finite_rows(capsys, tmp_path):
+    """At sigma 5e307 the screen limit (3 sigma, 1.5e308) is finite, but a
+    shadowing draw past about 3.6 sigma is not: this config's draw has one,
+    whose row the screen rejects and redraws, with no numpy overflow warning."""
+    out = tmp_path / "ds.json"
+    cfg = _config_file(tmp_path, n_per_point=50, path_loss={"gamma": 2.5, "sigma": 5e307, "p_r_d0": -40.0})
+    code, stdout, err = _run(capsys, ["simulate", "dataset", "--config", cfg, "--env-name", "roomA", "--out", str(out)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out.read_text())
+    features = np.array([s["features"] for s in doc["samples"]])
+    assert features.shape == (150, 6) and np.isfinite(features).all() and doc["rejects"] >= 1
+    assert stdout == f"wrote {out} (150 samples, {doc['rejects']} redraws)\n"
+
+
 def test_an_overflowing_shadowing_draw_writes_no_dataset(tmp_path):
     """Run as a child, outside the test suite's RuntimeWarning filter: the
     refusal comes before any draw, so no numpy overflow warning reaches stderr."""

@@ -80,6 +80,29 @@ def test_make_cnn_shapes():
 def test_cnn_needs_min_input_length():
     with pytest.raises(ValueError):
         make_cnn(2)  # two width-2 convs need length >= 3
+    with pytest.raises(ValueError, match="input length 2 too short"):
+        make_cnn(6, channels=3)
+
+
+def test_make_cnn_reads_channels():
+    m = make_cnn(6, channels=2, seed=0)
+    assert m.arrays["cw0"].shape == (2, 2, 16)
+    assert m.arrays["w0"].shape == (32, 16)  # 3 steps shrink to 1; flatten 1*16
+    assert m.input_dim == 6
+    with pytest.raises(ValueError, match="input width 7 is not a multiple of 2 channels"):
+        make_cnn(7, channels=2)
+    with pytest.raises(ValueError, match="'cw0' must have at least one input channel"):
+        CnnModel({**m.arrays, "cw0": np.ones((2, 0, 16))})
+
+
+def test_build_reads_a_row_as_three_anchors():
+    """An rssi row is 3 anchors of one channel, a hybrid row 3 anchors of
+    (RSSI, angle); the rssi CNN is the 1-channel make_cnn, array for array."""
+    x3, x6 = _data(10, 3)[0], _data(10, 6)[0]
+    rssi, hybrid = neural.build("cnn", x3, seed=4, rbf_centers=4), neural.build("cnn", x6, seed=4, rbf_centers=4)
+    assert rssi.arrays["cw0"].shape == (2, 1, 16) and hybrid.arrays["cw0"].shape == (2, 2, 16)
+    plain = make_cnn(3, seed=4)
+    assert all(np.array_equal(rssi.arrays[k], plain.arrays[k]) for k in plain.arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +360,7 @@ def test_gradient_checks_all_families():
     x, y = _data(8, 6, seed=3)
     assert gradient_check(make_mlp(6, seed=0), x, y) < 1e-4
     assert gradient_check(make_cnn(6, seed=1), x, y) < 1e-4
+    assert gradient_check(make_cnn(6, channels=2, seed=1), x, y) < 1e-4
     assert gradient_check(RbfModel.init(x, k=5, seed=2), x, y) < 1e-4
 
 
@@ -370,9 +394,10 @@ def test_train_and_gradient_check_touch_only_the_rbf_output_layer():
     assert len(calls) == 1 + 2 * (m.arrays["w_out"].size + m.arrays["b_out"].size)
 
 
-def _cnn_stacked_einsum(m, x, y):
-    """CnnModel's loss and gradients as first written: per-tap shifted
-    products for the convolutions and a stacked einsum per filter gradient."""
+def _cnn_stacked_einsum(m, h, y):
+    """CnnModel's prediction, loss and gradients as first written, on an input h
+    of shape (n, L, C): per-tap shifted products for the convolutions and a
+    stacked einsum per filter gradient."""
 
     def conv(a, w, b):
         lout = a.shape[1] - w.shape[0] + 1
@@ -382,11 +407,10 @@ def _cnn_stacked_einsum(m, x, y):
         return out + b
 
     p = m.arrays
-    h = x[:, :, None]
     a1 = np.tanh(conv(h, p["cw0"], p["cb0"]))
     a2 = np.tanh(conv(a1, p["cw1"], p["cb1"]))
     l1, l2 = a1.shape[1], a2.shape[1]
-    f = a2.reshape(x.shape[0], -1)
+    f = a2.reshape(h.shape[0], -1)
     h1 = f @ p["w0"].T + p["b0"]
     out = h1 @ p["w1"].T + p["b1"]
     diff = out - y
@@ -405,31 +429,41 @@ def _cnn_stacked_einsum(m, x, y):
     d_z1 = d_a1 * (1.0 - a1**2)
     g["cw0"] = np.stack([np.einsum("ntc,nto->co", h[:, k : k + l1, :], d_z1) for k in range(kw0)])
     g["cb0"] = d_z1.sum(axis=(0, 1))
-    return float(np.mean(diff**2)), g
+    return out, float(np.mean(diff**2)), g
+
+
+def _steps(x, channels):
+    """(n, C * L) rows as (n, L, C) steps: channel c of step t is feature c * L + t."""
+    length = x.shape[1] // channels
+    return np.stack([x[:, c * length : (c + 1) * length] for c in range(channels)], axis=-1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     extra=st.integers(0, 5),
+    channels=st.integers(1, 3),
     n=st.integers(1, 40),
     kernel_width=st.integers(2, 3),
     filters=st.tuples(st.integers(1, 16), st.integers(1, 16)),
     dense_width=st.integers(1, 32),
     seed=st.integers(0, 2**16),
 )
-@example(extra=3, n=32, kernel_width=2, filters=(16, 16), dense_width=32, seed=0)  # sweep shape
-@example(extra=0, n=5, kernel_width=2, filters=(16, 16), dense_width=32, seed=1)  # rssi: d = 3
-@example(extra=2, n=9, kernel_width=3, filters=(3, 5), dense_width=4, seed=2)
-def test_cnn_im2col_gradients_match_stacked_einsum(extra, n, kernel_width, filters, dense_width, seed):
-    d = 2 * (kernel_width - 1) + 1 + extra  # the shortest input two convolutions take, plus extra
+@example(extra=0, channels=2, n=32, kernel_width=2, filters=(16, 16), dense_width=32, seed=0)  # hybrid: 3 x 2
+@example(extra=0, channels=1, n=5, kernel_width=2, filters=(16, 16), dense_width=32, seed=1)  # rssi: 3 x 1
+@example(extra=3, channels=1, n=32, kernel_width=2, filters=(16, 16), dense_width=32, seed=0)  # 1-channel hybrid
+@example(extra=2, channels=3, n=9, kernel_width=3, filters=(3, 5), dense_width=4, seed=2)
+def test_cnn_im2col_gradients_match_stacked_einsum(extra, channels, n, kernel_width, filters, dense_width, seed):
+    length = 2 * (kernel_width - 1) + 1 + extra  # the shortest input two convolutions take, plus extra
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
+    x = rng.standard_normal((n, length * channels))
     y = rng.standard_normal((n, 2))
-    m = make_cnn(d, filters=filters, kernel_width=kernel_width, dense_width=dense_width, seed=seed)
+    m = make_cnn(length * channels, channels=channels, filters=filters, kernel_width=kernel_width,
+                 dense_width=dense_width, seed=seed)
     for name in ("cb0", "cb1", "b0", "b1"):
         m.arrays[name][:] = rng.standard_normal(m.arrays[name].shape)  # nonzero biases reach every term
     loss, grads = m.loss_and_gradients(x, y)
-    ref_loss, ref = _cnn_stacked_einsum(m, x, y)
+    ref_out, ref_loss, ref = _cnn_stacked_einsum(m, _steps(x, channels), y)
+    np.testing.assert_allclose(m.forward_batch(x), ref_out, rtol=1e-12, atol=1e-12)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
     assert grads.keys() == ref.keys() == m.arrays.keys()
     for name in ref:
@@ -765,6 +799,7 @@ def test_model_from_dict_rejects_unknown():
 @given(
     family=st.sampled_from(["mlp", "rbf", "cnn"]),
     extra=st.integers(0, 4),
+    channels=st.integers(1, 3),
     hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
     kernel_width=st.integers(1, 3),
     filters=st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -772,15 +807,16 @@ def test_model_from_dict_rejects_unknown():
     k=st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-def test_model_file_round_trip_is_exact(family, extra, hidden, kernel_width, filters, dense_width, k, seed):
+def test_model_file_round_trip_is_exact(family, extra, channels, hidden, kernel_width, filters, dense_width, k, seed):
     """model_to_dict -> JSON text -> model_from_dict keeps every bit."""
-    d = 2 * (kernel_width - 1) + 1 + extra
+    d = (2 * (kernel_width - 1) + 1 + extra) * channels
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((12, d)), rng.standard_normal((12, 2))
     if family == "mlp":
         m = make_mlp(d, hidden=tuple(hidden), seed=seed)
     elif family == "cnn":
-        m = make_cnn(d, filters=filters, kernel_width=kernel_width, dense_width=dense_width, seed=seed)
+        m = make_cnn(d, channels=channels, filters=filters, kernel_width=kernel_width, dense_width=dense_width,
+                     seed=seed)
     else:
         m = RbfModel.init(x, k=k, seed=seed)
         fit_rbf_output(m, x, y)
@@ -811,6 +847,24 @@ def test_model_file_layout_is_pinned():
     assert list(cnn["params"]) == ["cw0", "cb0", "cw1", "cb1", "w0", "b0", "w1", "b1"]
     assert cnn["arch"] == {"kernel_width": 3, "filters": [3, 4], "dense_width": 5}
     assert cnn["input_dim"] == 7 and cnn["params"]["w0"]["shape"] == [5, 12]
+
+
+def test_a_one_channel_hybrid_cnn_file_still_loads():
+    """A hybrid CNN file written while the CNN read a row as one 6-long
+    channel: cw0 (2, 1, 16) and w0 (32, 64). Its shapes still say so, so it
+    loads with input_dim 6 and predicts from the row as one sequence."""
+    old = make_cnn(6, seed=11)
+    rng = np.random.default_rng(11)
+    for name in ("cb0", "cb1", "b0", "b1"):
+        old.arrays[name][:] = rng.standard_normal(old.arrays[name].shape)
+    doc = json.loads(json.dumps(model_to_dict(old)))
+    assert doc["input_dim"] == 6 and doc["params"]["cw0"]["shape"] == [2, 1, 16]
+    assert doc["params"]["w0"]["shape"] == [32, 64]
+    m, _ = model_from_dict(doc)
+    assert m.input_dim == 6
+    x, y = rng.standard_normal((9, 6)), rng.standard_normal((9, 2))
+    ref_out = _cnn_stacked_einsum(m, x[:, :, None], y)[0]
+    np.testing.assert_allclose(m.forward_batch(x), ref_out, rtol=1e-12, atol=1e-12)
 
 
 def test_model_arrays_are_read_in_file_order_whatever_the_dict_order():

@@ -70,6 +70,12 @@ def test_screen_rejects_each_channel():
     assert not screen_outlier(theo, bad_aoa, *LIMITS)
 
 
+def test_screen_rejects_a_nan_rssi():
+    theo = np.array([-50.0, -60.0, -70.0, 10.0, 20.0, 30.0])
+    assert not screen_outlier(theo, theo + np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), *LIMITS)
+    assert not screen_outlier(theo, theo + np.array([-np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), *LIMITS)
+
+
 def test_screen_refuses_rssi_only_rows():
     theo = np.array([-50.0, -60.0, -70.0])
     hybrid = np.concatenate([theo, [10.0, 20.0, 30.0]])
